@@ -7,11 +7,12 @@
 //! [--workers W] [--out FILE | --no-out] [--trace-out FILE]
 //! [--assert-scaling]`.
 //!
-//! Each cell is timed twice — on the [`WholeShard`] path (one thread runs a
-//! shard start to finish) and on the [`EpochParallel`] path (all shards step
-//! the same virtual-time epoch in lockstep) — with best-of-`R` walls, and
-//! the two USMs are cross-checked (the full bit-level identity lives in
-//! `crates/cluster/tests/epoch_differential.rs`). Cells also record
+//! Each cell is timed twice on the cluster's one shard loop — with the
+//! default whole-run epoch (`whole_s`: each worker drains one shard before
+//! building the next) and with `--epoch-secs` rounds (`epoch_s`: all
+//! shards step the same virtual-time epoch in lockstep) — with best-of-`R`
+//! walls, and the two USMs are cross-checked (the full bit-level identity
+//! lives in `crates/cluster/tests/golden_cluster.rs`). Cells also record
 //! per-shard serial wall times (each shard slice re-run alone, so skew is
 //! visible) and the update-stream fan-out that demand filtering would keep
 //! per shard.
@@ -31,9 +32,6 @@
 //! their USM must equal the plain single-server engine's USM on the same
 //! bundle (the full bit-level digest check lives in
 //! `crates/cluster/tests/differential.rs`).
-//!
-//! [`WholeShard`]: unit_cluster::ExecutionMode::WholeShard
-//! [`EpochParallel`]: unit_cluster::ExecutionMode::EpochParallel
 
 use std::time::Instant;
 use unit_bench::cli::Flags;
@@ -254,7 +252,7 @@ fn main() {
             assert_eq!(
                 usm.to_bits(),
                 epoch_report.average_usm().to_bits(),
-                "epoch-parallel path diverged from whole-shard at {} x{n_shards}",
+                "epoch rounds diverged from the whole-run epoch at {} x{n_shards}",
                 routing.name()
             );
             let usm_filtered = filtered_report.average_usm();

@@ -12,12 +12,12 @@
 //! every query remains a pure function of
 //! `(trace, plan, routing policy, failover policy)`.
 //!
-//! Per query, [`route_with_faults`] proceeds in preference order:
+//! Per query, the dispatcher (`dispatch`) proceeds in preference order:
 //!
-//! 1. route among the **fully-up** eligible shards, by the underlying
+//! 1. route among the **fully-up** candidate shards, by the underlying
 //!    [`RoutingPolicy`] (same ledgers, same tie-breaks as fault-free
 //!    [`assign`](crate::routing::assign));
-//! 2. none up → route among **degraded** eligible shards (graceful
+//! 2. none up → route among **degraded** candidate shards (graceful
 //!    degradation: reads on last-applied versions, honest DSF);
 //! 3. all paused → wait out an exponential-backoff step *in virtual time*
 //!    and retry, up to [`BackoffConfig::max_retries`] attempts and never
@@ -57,7 +57,6 @@ use unit_core::types::{Outcome, QuerySpec, Trace};
 use unit_core::usm::OutcomeCounts;
 use unit_faults::{FaultMode, FaultPlan};
 use unit_sim::HealthState;
-use unit_workload::ItemPartition;
 
 /// Deterministic exponential backoff, in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,95 +150,9 @@ impl RouteDecision {
     }
 }
 
-/// Compute the fault-aware routing decision for every query in `trace`.
-///
-/// Sequential and pure: one walk over the queries in arrival order,
-/// O(N_q · (A + S log W)) for read sets of size A, S eligible shards and W
-/// crash windows per shard. `plan.shards` must have one schedule per
-/// shard. With an empty plan (or `NoRetry`), the routed shards are
-/// identical to [`assign`](crate::routing::assign) and every effective
-/// arrival equals the trace arrival — the inertness the fault
-/// differential suite pins.
-pub fn route_with_faults(
-    trace: &Trace,
-    partition: &ItemPartition,
-    routing: RoutingPolicy,
-    plan: &FaultPlan,
-    failover: &FailoverPolicy,
-) -> Vec<RouteDecision> {
-    let mut router = RouterState::new(routing, trace, partition.n_shards());
-    trace
-        .queries
-        .iter()
-        .map(|q| {
-            let eligible = partition.eligible_shards(&q.items);
-            let cfg = match failover {
-                FailoverPolicy::NoRetry => {
-                    let shard = router.pick(q, &eligible, q.arrival, partition);
-                    router.commit(q, shard, q.arrival, partition);
-                    return RouteDecision::Routed {
-                        shard,
-                        at: q.arrival,
-                        retries: 0,
-                    };
-                }
-                FailoverPolicy::Backoff(cfg) => cfg,
-            };
-            let deadline = q.deadline();
-            let mut now = q.arrival;
-            let mut retries = 0u32;
-            loop {
-                let up: Vec<usize> = eligible
-                    .iter()
-                    .copied()
-                    // lint: allow(D6) — plan length == n_shards, checked by the caller
-                    .filter(|&s| plan.shards[s].health_at(now) == HealthState::Up)
-                    .collect();
-                // Prefer fully-up shards; fall back to degraded ones (their
-                // read path is still serving). Both pools stay ascending, so
-                // tie-breaks match the fault-free assigners.
-                let pool = if up.is_empty() {
-                    eligible
-                        .iter()
-                        .copied()
-                        // lint: allow(D6) — plan length == n_shards, checked by the caller
-                        .filter(|&s| !plan.shards[s].health_at(now).queries_paused())
-                        .collect()
-                } else {
-                    up
-                };
-                if !pool.is_empty() {
-                    let shard = router.pick(q, &pool, now, partition);
-                    router.commit(q, shard, now, partition);
-                    return RouteDecision::Routed {
-                        shard,
-                        at: now,
-                        retries,
-                    };
-                }
-                if retries >= cfg.max_retries {
-                    return RouteDecision::Rejected { at: now, retries };
-                }
-                let delay = cfg.delay(retries);
-                retries += 1;
-                let Some(next) = now.0.checked_add(delay.0) else {
-                    return RouteDecision::Rejected { at: now, retries };
-                };
-                now = SimTime(next);
-                if now >= deadline {
-                    return RouteDecision::Rejected {
-                        at: deadline,
-                        retries,
-                    };
-                }
-            }
-        })
-        .collect()
-}
-
-/// The replicated dispatcher's output: per-query decisions plus the
-/// replica-layer bookkeeping the [`crate::ReplicationReport`] carries.
-pub(crate) struct ReplicatedDecisions {
+/// The dispatcher's output: per-query decisions plus the replica-layer
+/// bookkeeping the [`crate::ReplicationReport`] carries.
+pub(crate) struct Dispatch {
     /// Per-query routing decisions, in original trace order.
     pub(crate) decisions: Vec<RouteDecision>,
     /// Routes that landed on a follower, in dispatch order.
@@ -248,25 +161,49 @@ pub(crate) struct ReplicatedDecisions {
     pub(crate) promotions: Vec<PromotionRecord>,
 }
 
-/// [`route_with_faults`] under replication: candidate pools come from
-/// [`ReplicaSets`] (leaders plus `Qu`-admissible followers, with crashed
-/// leaders deterministically promoting their freshest live follower)
-/// instead of the eligible-owner sets, and the replica-layer routes and
-/// promotions are recorded alongside the decisions.
+/// The one dispatcher: route every query in `trace`, in arrival order.
 ///
-/// Same sequential-prologue purity as [`route_with_faults`], and with
-/// `factor == 1` the pools — and therefore the decisions — are
-/// bit-identical to it. A promotion is recorded only when an item's
-/// promoted target *changes* (and the slate is wiped when its leader is
-/// healthy again at a later dispatch), so the promotion log is a compact,
-/// deterministic function of `(placement, lag schedule, plan, trace)`.
-pub(crate) fn route_with_faults_replicated(
+/// Each query's pool comes from [`ReplicaSets::pool_with_health`]:
+/// leaders plus `Qu`-admissible followers, crashed leaders promoting
+/// their freshest live follower, fully-up shards preferred over degraded
+/// ones. [`FailoverPolicy::NoRetry`] sees every shard as up; under
+/// [`FailoverPolicy::Backoff`] an empty pool means backing off in virtual
+/// time until a shard recovers, the budget runs out or the deadline
+/// passes. A partition-only cluster is the factor-1 case, where the pool
+/// is the set of owner shards, and a fault-free run is the quiet-plan
+/// case, where every query is routed at its arrival.
+///
+/// A promotion is recorded only when an item's promoted target *changes*
+/// (the slate is wiped once its leader serves again at a later dispatch),
+/// so the promotion log is a deterministic function of the inputs.
+/// Sequential and pure: O(N_q · (A · factor · (A + streams) + n_shards)
+/// · R) for read sets of size A and R backoff steps. `plan.shards` must
+/// have one schedule per shard.
+pub(crate) fn dispatch(
     trace: &Trace,
     sets: &ReplicaSets,
     routing: RoutingPolicy,
     plan: &FaultPlan,
     failover: &FailoverPolicy,
-) -> ReplicatedDecisions {
+) -> Dispatch {
+    let (blind, cfg) = match *failover {
+        FailoverPolicy::NoRetry => (
+            true,
+            BackoffConfig {
+                max_retries: 0,
+                ..BackoffConfig::default()
+            },
+        ),
+        FailoverPolicy::Backoff(cfg) => (false, cfg),
+    };
+    let health = |s: usize, now: SimTime| {
+        if blind {
+            HealthState::Up
+        } else {
+            // lint: allow(D6) — plan length == n_shards, checked by the caller
+            plan.shards[s].health_at(now)
+        }
+    };
     let mut router = RouterState::new(routing, trace, sets.map().n_shards());
     let mut routes = Vec::new();
     let mut promotions = Vec::new();
@@ -275,45 +212,24 @@ pub(crate) fn route_with_faults_replicated(
         .queries
         .iter()
         .map(|q| {
-            let cfg = match failover {
-                FailoverPolicy::NoRetry => {
-                    // Health-blind, like the plain NoRetry baseline: the Qu
-                    // gate still applies, promotions never happen.
-                    let pool = sets.candidate_pool(q, q.arrival);
-                    let shard = router.pick(q, &pool, q.arrival, sets);
-                    router.commit(q, shard, q.arrival, sets);
-                    if let Some(r) = replica_route_record(sets, q, shard, q.arrival) {
-                        routes.push(r);
-                    }
-                    return RouteDecision::Routed {
-                        shard,
-                        at: q.arrival,
-                        retries: 0,
-                    };
-                }
-                FailoverPolicy::Backoff(cfg) => cfg,
-            };
             let deadline = q.deadline();
             let mut now = q.arrival;
             let mut retries = 0u32;
             loop {
-                let (pool, promos) =
-                    sets.pool_with_health(q, now, |s| plan.shards[s].health_at(now));
+                let (pool, promos) = sets.pool_with_health(q, now, |s| health(s, now));
                 if !pool.is_empty() {
                     let shard = router.pick(q, &pool, now, sets);
                     router.commit(q, shard, now, sets);
                     for p in promos {
+                        // lint: allow(D6) — item indices are < n_items (trace invariant)
                         if last_promo[p.item.index()] != Some(p.to) {
-                            last_promo[p.item.index()] = Some(p.to);
+                            last_promo[p.item.index()] = Some(p.to); // lint: allow(D6) — as above
                             promotions.push(p);
                         }
                     }
                     for &d in &q.items {
-                        if !plan.shards[sets.map().leader(d)]
-                            .health_at(now)
-                            .queries_paused()
-                        {
-                            last_promo[d.index()] = None;
+                        if !health(sets.map().leader(d), now).queries_paused() {
+                            last_promo[d.index()] = None; // lint: allow(D6) — d < n_items
                         }
                     }
                     if let Some(r) = replica_route_record(sets, q, shard, now) {
@@ -343,22 +259,38 @@ pub(crate) fn route_with_faults_replicated(
             }
         })
         .collect();
-    ReplicatedDecisions {
+    Dispatch {
         decisions,
         routes,
         promotions,
     }
 }
 
-/// Routed queries with their effective specs, plus the assignment aligned
-/// to the returned trace's query order.
+/// The assignment aligned to the executed trace's query order, plus that
+/// trace when it differs from `trace`.
 ///
 /// Rejected queries are excluded (the dispatcher already decided them);
 /// routed queries whose dispatch was delayed get `arrival = at` and
 /// `relative_deadline` shrunk to preserve the absolute deadline. Queries
 /// are stably re-sorted by the effective arrival so the result is a valid
-/// trace; fault-free this is the identity. O(N_q log N_q).
-pub(crate) fn routed_trace(trace: &Trace, decisions: &[RouteDecision]) -> (Trace, Vec<usize>) {
+/// trace. When every query was routed at its arrival the executed trace
+/// is `trace` itself and `None` is returned in its place. O(N_q log N_q).
+pub(crate) fn routed_trace(
+    trace: &Trace,
+    decisions: &[RouteDecision],
+) -> (Option<Trace>, Vec<usize>) {
+    let mut assignment = Vec::with_capacity(decisions.len());
+    for (q, d) in trace.queries.iter().zip(decisions) {
+        match *d {
+            RouteDecision::Routed { shard, at, .. } if at == q.arrival => assignment.push(shard),
+            _ => return delayed_trace(trace, decisions),
+        }
+    }
+    (None, assignment)
+}
+
+/// [`routed_trace`] once some query was delayed or rejected.
+fn delayed_trace(trace: &Trace, decisions: &[RouteDecision]) -> (Option<Trace>, Vec<usize>) {
     let mut routed: Vec<(QuerySpec, usize)> = Vec::with_capacity(trace.queries.len());
     for (q, d) in trace.queries.iter().zip(decisions) {
         if let RouteDecision::Routed { shard, at, .. } = *d {
@@ -376,11 +308,11 @@ pub(crate) fn routed_trace(trace: &Trace, decisions: &[RouteDecision]) -> (Trace
     let assignment = routed.iter().map(|&(_, s)| s).collect();
     let queries = routed.into_iter().map(|(q, _)| q).collect();
     (
-        Trace {
+        Some(Trace {
             n_items: trace.n_items,
             queries,
             updates: trace.updates.clone(),
-        },
+        }),
         assignment,
     )
 }
@@ -532,8 +464,20 @@ pub fn check_health_consistency(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replication::ReplicationConfig;
     use unit_core::types::{DataId, QueryId, UpdateSpec, UpdateStreamId};
     use unit_faults::{CrashWindow, FaultSchedule};
+
+    /// Dispatch `t` over a 2-shard partition-only cluster.
+    fn route(
+        t: &Trace,
+        routing: RoutingPolicy,
+        plan: &FaultPlan,
+        failover: &FailoverPolicy,
+    ) -> Vec<RouteDecision> {
+        let sets = ReplicaSets::new(t, 2, &ReplicationConfig::new(1), 0, SimDuration::ZERO);
+        dispatch(t, &sets, routing, plan, failover).decisions
+    }
 
     fn query(id: u64, arrival: u64, items: &[u32]) -> QuerySpec {
         QuerySpec {
@@ -581,15 +525,14 @@ mod tests {
     #[test]
     fn quiet_plan_reproduces_the_fault_free_assignment() {
         let t = trace();
-        let p = ItemPartition::new(2);
         let plan = FaultPlan::quiet(2);
         for routing in RoutingPolicy::ALL {
-            let plain = crate::routing::assign(&t, &p, routing);
+            let plain = crate::routing::assign(&t, &unit_workload::ItemPartition::new(2), routing);
             for failover in [
                 FailoverPolicy::NoRetry,
                 FailoverPolicy::Backoff(BackoffConfig::default()),
             ] {
-                let decisions = route_with_faults(&t, &p, routing, &plan, &failover);
+                let decisions = route(&t, routing, &plan, &failover);
                 for (i, d) in decisions.iter().enumerate() {
                     assert_eq!(
                         *d,
@@ -608,14 +551,12 @@ mod tests {
     #[test]
     fn failover_routes_around_a_down_shard() {
         let t = trace();
-        let p = ItemPartition::new(2);
         // Shard 0 is down for the whole query window; shard 1 is up.
         let plan = FaultPlan {
             shards: vec![down(0, 30, FaultMode::Pause), FaultSchedule::empty()],
         };
-        let decisions = route_with_faults(
+        let decisions = route(
             &t,
-            &p,
             RoutingPolicy::RoundRobin,
             &plan,
             &FailoverPolicy::Backoff(BackoffConfig::default()),
@@ -638,7 +579,6 @@ mod tests {
     #[test]
     fn degraded_shards_still_take_reads() {
         let t = trace();
-        let p = ItemPartition::new(2);
         // Both shards unhealthy, but shard 1 only degraded: reads go there
         // without any backoff.
         let plan = FaultPlan {
@@ -647,9 +587,8 @@ mod tests {
                 down(0, 30, FaultMode::DegradedReads),
             ],
         };
-        let decisions = route_with_faults(
+        let decisions = route(
             &t,
-            &p,
             RoutingPolicy::LeastLoad,
             &plan,
             &FailoverPolicy::Backoff(BackoffConfig::default()),
@@ -669,14 +608,12 @@ mod tests {
     #[test]
     fn backoff_waits_out_a_short_outage_and_preserves_the_deadline() {
         let t = trace();
-        let p = ItemPartition::new(2);
         // Both shards paused until t=6: q0 (arrival 1) retries at 2, 4, 8.
         let plan = FaultPlan {
             shards: vec![down(0, 6, FaultMode::Pause), down(0, 6, FaultMode::Pause)],
         };
-        let decisions = route_with_faults(
+        let decisions = route(
             &t,
-            &p,
             RoutingPolicy::RoundRobin,
             &plan,
             &FailoverPolicy::Backoff(BackoffConfig::default()),
@@ -690,6 +627,7 @@ mod tests {
             }
         );
         let (routed, assignment) = routed_trace(&t, &decisions);
+        let routed = routed.expect("a delayed or rejected query re-slices the trace");
         assert_eq!(routed.queries.len(), 4);
         assert_eq!(assignment.len(), 4);
         routed.validate().unwrap();
@@ -702,7 +640,6 @@ mod tests {
     #[test]
     fn exhausted_budget_rejects_within_the_deadline() {
         let t = trace();
-        let p = ItemPartition::new(2);
         let forever = 10_000;
         let plan = FaultPlan {
             shards: vec![
@@ -711,9 +648,8 @@ mod tests {
             ],
         };
         let cfg = BackoffConfig::default();
-        let decisions = route_with_faults(
+        let decisions = route(
             &t,
-            &p,
             RoutingPolicy::FreshnessAware,
             &plan,
             &FailoverPolicy::Backoff(cfg),
@@ -726,6 +662,7 @@ mod tests {
             assert!(at <= q.deadline());
         }
         let (routed, assignment) = routed_trace(&t, &decisions);
+        let routed = routed.expect("a delayed or rejected query re-slices the trace");
         assert!(routed.queries.is_empty());
         assert!(assignment.is_empty());
     }
@@ -773,7 +710,6 @@ mod tests {
         };
         // The absolute deadline saturates: "infinitely patient".
         assert_eq!(t.queries[0].deadline(), SimTime::MAX);
-        let p = ItemPartition::new(2);
         let window_start = SimTime(u64::MAX - 1_000_000_000);
         let window_end = SimTime(u64::MAX - 1); // MAX itself fails validation
         let paused = FaultSchedule {
@@ -789,9 +725,8 @@ mod tests {
             shards: vec![paused.clone(), paused],
         };
         let cfg = BackoffConfig::default();
-        let decisions = route_with_faults(
+        let decisions = route(
             &t,
-            &p,
             RoutingPolicy::RoundRobin,
             &plan,
             &FailoverPolicy::Backoff(cfg),
@@ -827,7 +762,6 @@ mod tests {
             }],
             updates: vec![],
         };
-        let p = ItemPartition::new(2);
         // Both shards paused until one base-delay after arrival; the first
         // retry (arrival + base) lands exactly at the recovery instant.
         let recover = SimTime(arrival.0 + base.0);
@@ -843,9 +777,8 @@ mod tests {
         let plan = FaultPlan {
             shards: vec![paused.clone(), paused],
         };
-        let decisions = route_with_faults(
+        let decisions = route(
             &t,
-            &p,
             RoutingPolicy::RoundRobin,
             &plan,
             &FailoverPolicy::Backoff(BackoffConfig {
@@ -864,7 +797,7 @@ mod tests {
         );
         // The delayed re-dispatch keeps the (saturated) absolute deadline
         // without underflowing the relative one.
-        let (routed, _) = routed_trace(&t, &decisions);
+        let routed = routed_trace(&t, &decisions).0.expect("a delayed dispatch");
         assert_eq!(routed.queries[0].arrival, recover);
         assert_eq!(routed.queries[0].deadline(), t.queries[0].deadline());
     }
@@ -895,6 +828,7 @@ mod tests {
             retries: 2,
         }];
         let (routed, assignment) = routed_trace(&t, &decisions);
+        let routed = routed.expect("a delayed or rejected query re-slices the trace");
         assert_eq!(assignment, vec![0]);
         assert_eq!(routed.queries[0].arrival, at);
         assert_eq!(routed.queries[0].relative_deadline, SimDuration(40));

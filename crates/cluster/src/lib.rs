@@ -43,11 +43,11 @@ pub mod replication;
 pub mod routing;
 pub mod run;
 
+use unit_core::time::SimDuration;
 use unit_faults::ScheduleError;
 
 pub use failover::{
-    check_health_consistency, route_with_faults, BackoffConfig, FailoverPolicy, FaultClusterReport,
-    RouteDecision,
+    check_health_consistency, BackoffConfig, FailoverPolicy, FaultClusterReport, RouteDecision,
 };
 pub use merge::{
     check_cluster_identity, ClusterLane, ClusterReport, MergedOutcome, PromotionRecord,
@@ -63,27 +63,6 @@ pub use run::{ClusterRun, ClusterRunReport};
 /// a throughput request.
 pub const MAX_WORKERS: usize = 4096;
 
-/// How the worker pool drives the shard engines. Purely a wall-clock knob:
-/// both modes produce bit-identical reports (shards share no mutable
-/// state, and pausing an engine at a virtual-time boundary reorders
-/// nothing — see [`unit_sim::Simulator::step_until`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Each worker runs a claimed shard start-to-finish before claiming the
-    /// next. Minimal synchronization; a straggler shard serializes its
-    /// worker for the whole run.
-    WholeShard,
-    /// All shards advance in lockstep through virtual-time epochs: every
-    /// worker steps its statically owned shards (`shard % workers`) to the
-    /// epoch boundary, a barrier closes the round, and the cluster repeats
-    /// until every shard drains. Bounds per-round skew and keeps every
-    /// worker busy while any shard is live.
-    EpochParallel {
-        /// Virtual-time length of one stepping round (must be non-zero).
-        epoch: unit_core::time::SimDuration,
-    },
-}
-
 /// A malformed cluster or fault configuration, rejected before any shard
 /// runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,8 +76,8 @@ pub enum ClusterConfigError {
         /// The cap.
         max: usize,
     },
-    /// [`ExecutionMode::EpochParallel`] with a zero-length epoch: the
-    /// stepping rounds would never advance virtual time.
+    /// A zero-length epoch: the stepping rounds would never advance
+    /// virtual time.
     ZeroEpoch,
     /// The fault plan does not cover exactly one schedule per shard.
     PlanShardMismatch {
@@ -156,7 +135,7 @@ impl std::fmt::Display for ClusterConfigError {
                 write!(f, "{workers} worker threads requested, the cap is {max}")
             }
             ClusterConfigError::ZeroEpoch => {
-                write!(f, "epoch-parallel stepping needs a non-zero epoch")
+                write!(f, "epoch stepping needs a non-zero epoch")
             }
             ClusterConfigError::PlanShardMismatch {
                 plan_shards,
@@ -220,9 +199,13 @@ pub struct ClusterConfig {
     /// shard, capped at the host's available parallelism. Purely a
     /// throughput knob — results are bit-identical for any value.
     pub workers: usize,
-    /// How the worker pool schedules shard execution. Also purely a
-    /// wall-clock knob; see [`ExecutionMode`].
-    pub mode: ExecutionMode,
+    /// Virtual-time length of one stepping round: every worker steps its
+    /// shards to the round's end, then waits for the others. The default,
+    /// [`SimDuration::MAX`], is one round spanning the whole run, so each
+    /// worker drains one shard before building the next; a single worker
+    /// always runs that way. Also purely a wall-clock knob — results are
+    /// bit-identical for any value.
+    pub epoch: SimDuration,
     /// Demand-filter update streams during slicing
     /// ([`unit_workload::slice_trace_filtered`]): streams whose owner shard
     /// serves no reader of the item are dropped. **Changes per-shard
@@ -237,20 +220,15 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A cluster of `n_shards` round-robin-routed shards with the default
-    /// seed and the auto worker count.
+    /// seed, the auto worker count and whole-run epochs.
     ///
     /// # Panics
     /// Panics if `n_shards` is zero.
     pub fn new(n_shards: usize) -> ClusterConfig {
-        assert!(n_shards > 0, "a cluster needs at least one shard");
-        ClusterConfig {
-            n_shards,
-            routing: RoutingPolicy::RoundRobin,
-            seed: unit_core::config::DEFAULT_SEED,
-            workers: 0,
-            mode: ExecutionMode::WholeShard,
-            filter_updates: false,
-            replication: None,
+        match ClusterConfig::try_new(n_shards) {
+            Ok(cfg) => cfg,
+            // lint: allow(panic) — documented contract; try_new is the fallible twin
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -261,17 +239,11 @@ impl ClusterConfig {
         self
     }
 
-    /// Set the execution mode (see [`ExecutionMode`]).
+    /// Step the shards in lockstep rounds of `epoch` virtual time (see
+    /// [`ClusterConfig::epoch`]).
     #[must_use]
-    pub fn with_mode(mut self, mode: ExecutionMode) -> ClusterConfig {
-        self.mode = mode;
-        self
-    }
-
-    /// Shorthand for [`ExecutionMode::EpochParallel`] with the given epoch.
-    #[must_use]
-    pub fn with_epoch(mut self, epoch: unit_core::time::SimDuration) -> ClusterConfig {
-        self.mode = ExecutionMode::EpochParallel { epoch };
+    pub fn with_epoch(mut self, epoch: SimDuration) -> ClusterConfig {
+        self.epoch = epoch;
         self
     }
 
@@ -317,7 +289,7 @@ impl ClusterConfig {
             routing: RoutingPolicy::RoundRobin,
             seed: unit_core::config::DEFAULT_SEED,
             workers: 0,
-            mode: ExecutionMode::WholeShard,
+            epoch: SimDuration::MAX,
             filter_updates: false,
             replication: None,
         })
@@ -336,10 +308,8 @@ impl ClusterConfig {
                 max: MAX_WORKERS,
             });
         }
-        if let ExecutionMode::EpochParallel { epoch } = self.mode {
-            if epoch.is_zero() {
-                return Err(ClusterConfigError::ZeroEpoch);
-            }
+        if self.epoch.is_zero() {
+            return Err(ClusterConfigError::ZeroEpoch);
         }
         if let Some(rep) = &self.replication {
             rep.validate(self.n_shards)?;
@@ -351,7 +321,7 @@ impl ClusterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unit_core::time::{SimDuration, SimTime};
+    use unit_core::time::SimTime;
     use unit_core::types::{DataId, QueryId, QuerySpec, Trace, UpdateSpec, UpdateStreamId};
     use unit_core::usm::UsmWeights;
     use unit_core::UnitConfig;
@@ -622,7 +592,6 @@ mod tests {
 
     #[test]
     fn faulty_cluster_conserves_queries_and_stays_consistent() {
-        use unit_core::time::SimDuration;
         use unit_faults::{FaultConfig, FaultMode};
         let trace = tiny_trace();
         let cfg = FaultConfig::quiet(SimDuration::from_secs(60), 8).with_crashes(

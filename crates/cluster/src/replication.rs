@@ -41,7 +41,7 @@
 //! so it is unique and reproducible across reruns and worker counts.
 
 use crate::merge::{PromotionRecord, PropagationRecord, ReplicationReport};
-use crate::routing::{FreshnessEstimate, HostView};
+use crate::routing::FreshnessEstimate;
 use crate::ClusterConfigError;
 use unit_core::freshness::max_tolerable_udrop;
 use unit_core::split_seed;
@@ -212,10 +212,8 @@ pub struct ReplicaSets {
     map: ReplicaMap,
     lag: PropagationLag,
     /// Emission arithmetic over the trace's update schedules (baseline
-    /// unused here — only `versions` is consulted).
+    /// unused here — only `versions` and `streams` are consulted).
     emit: FreshnessEstimate,
-    /// `(first_arrival, period)` per item, for enumerating emissions.
-    streams: Vec<Vec<(SimTime, SimDuration)>>,
     /// Per `(item, follower slot - 1, window)` delay, flattened.
     delays: Vec<SimDuration>,
     n_items: usize,
@@ -236,11 +234,6 @@ impl ReplicaSets {
         horizon: SimDuration,
     ) -> ReplicaSets {
         let map = cfg.replica_map(n_shards);
-        let mut streams = vec![Vec::new(); trace.n_items];
-        for u in &trace.updates {
-            // lint: allow(D6) — trace invariant: update items index < n_items
-            streams[u.item.index()].push((u.first_arrival, u.period));
-        }
         let windows = cfg.lag.windows;
         let span = horizon.0.saturating_add(1);
         let win_len = span.div_ceil(windows as u64).max(1);
@@ -262,7 +255,6 @@ impl ReplicaSets {
             map,
             lag: cfg.lag,
             emit: FreshnessEstimate::new(trace),
-            streams,
             delays,
             n_items: trace.n_items,
             win_len,
@@ -367,41 +359,16 @@ impl ReplicaSets {
             .all(|&d| self.claimed_transit(d, now) <= tolerable)
     }
 
-    /// The candidate pool for `q` at `now`, health-blind: leaders of
-    /// read-set items (always admissible) plus followers hosting at least
-    /// one read-set item whose followed items all clear the `Qu` gate.
-    /// Ascending and deduplicated; with `factor == 1` this is exactly
-    /// [`unit_workload::ItemPartition::eligible_shards`]. O(A · factor ·
-    /// (A + streams) + n_shards).
-    pub fn candidate_pool(&self, q: &QuerySpec, now: SimTime) -> Vec<usize> {
-        let n = self.map.n_shards();
-        let mut seen = vec![false; n];
-        for &d in &q.items {
-            // lint: allow(D6) — leader() < n_shards by ReplicaMap construction
-            seen[self.map.leader(d)] = true;
-        }
-        for &d in &q.items {
-            for k in 1..self.map.factor() {
-                let s = self.map.follower(d, k);
-                // lint: allow(D6) — follower() < n_shards by ReplicaMap construction
-                if !seen[s] && self.follower_admissible(q, s, now) {
-                    seen[s] = true; // lint: allow(D6) — s < n_shards as above
-                }
-            }
-        }
-        seen.iter()
-            .enumerate()
-            .filter_map(|(s, &hit)| hit.then_some(s))
-            .collect()
-    }
-
-    /// The fault-aware candidate pool: the health-blind candidates plus
-    /// **promoted** followers for read-set items whose leader is paused at
-    /// `now` (freshest live follower — minimal claimed transit, ties to
-    /// the lowest shard id — admitted regardless of the `Qu` gate), then
-    /// the same two-tier preference as plain failover: fully-up
-    /// candidates if any, otherwise the non-paused ones. Returns the pool
-    /// (ascending) and the promotions that shaped it, in read-set order.
+    /// The candidate pool for `q` at `now` under `health`: leaders of
+    /// read-set items (always admissible), followers hosting at least one
+    /// read-set item whose followed items all clear the `Qu` gate, and
+    /// **promoted** followers for read-set items whose leader is paused
+    /// (freshest live follower — minimal claimed transit, ties to the
+    /// lowest shard id — admitted regardless of the `Qu` gate); then the
+    /// two-tier preference of failover: fully-up candidates if any,
+    /// otherwise the non-paused ones. Returns the pool (ascending) and the
+    /// promotions that shaped it, in read-set order. With every shard up
+    /// and `factor == 1` the pool is exactly the owners of the read set.
     /// O(A · factor · (A + streams) + n_shards).
     pub fn pool_with_health(
         &self,
@@ -514,7 +481,7 @@ impl ReplicaSets {
             // All emissions of d within the horizon, in (time, stream) order.
             let mut emissions: Vec<SimTime> = Vec::new();
             // lint: allow(D6) — item < n_items == streams.len() by construction
-            for &(first, period) in &self.streams[item] {
+            for &(first, period) in &self.emit.streams[item] {
                 let mut t = first;
                 while t.0 < self.span {
                     emissions.push(t);
@@ -554,29 +521,6 @@ impl ReplicaSets {
         // reproduces it because per-lane order is time-major already.
         log.sort_by_key(|r| (r.time, r.follower, r.item, r.version));
         log
-    }
-}
-
-impl HostView for ReplicaSets {
-    fn staleness(&self, est: &FreshnessEstimate, d: DataId, s: usize, now: SimTime) -> Option<u64> {
-        if self.map.leader(d) == s {
-            Some(est.udrop(d.index(), now))
-        } else if self.map.follows(s, d) {
-            // A follower lags the leader estimate by what is in transit.
-            Some(
-                est.udrop(d.index(), now)
-                    .saturating_add(self.claimed_transit(d, now)),
-            )
-        } else {
-            None
-        }
-    }
-
-    fn refreshes(&self, s: usize, d: DataId) -> bool {
-        // Only a leader read refreshes the dispatcher's estimate: a
-        // follower read neither updates the leader nor catches the
-        // follower up beyond its propagation schedule.
-        self.map.leader(d) == s
     }
 }
 
@@ -814,16 +758,20 @@ mod tests {
         }
     }
 
+    /// `pool_with_health` with every shard up.
+    fn pool(s: &ReplicaSets, q: &QuerySpec) -> Vec<usize> {
+        let (pool, promos) = s.pool_with_health(q, q.arrival, |_| HealthState::Up);
+        assert!(promos.is_empty(), "no leader is paused");
+        pool
+    }
+
     #[test]
     fn candidate_pool_degenerates_to_eligible_shards_at_factor_one() {
         let s = sets(1, PropagationLag::none());
         let t = trace();
         let q = &t.queries[0];
         let partition = unit_workload::ItemPartition::new(4);
-        assert_eq!(
-            s.candidate_pool(q, q.arrival),
-            partition.eligible_shards(&q.items)
-        );
+        assert_eq!(pool(&s, q), partition.eligible_shards(&q.items));
     }
 
     #[test]
@@ -839,12 +787,11 @@ mod tests {
                                // Shard 2 follows nothing in the read set? It LEADS item 2 and
                                // follows item 1 -> transit(item1, 5) = 0 -> admissible.
                                // Shard 3 follows item 2 -> transit 1 > 0 -> barred.
-        let pool = s.candidate_pool(q, q.arrival);
-        assert_eq!(pool, vec![1, 2]);
+        assert_eq!(pool(&s, q), vec![1, 2]);
         // A lenient query tolerates one in-transit version: shard 3 joins.
         let mut lenient = q.clone();
         lenient.freshness_req = 0.5;
-        assert_eq!(s.candidate_pool(&lenient, q.arrival), vec![1, 2, 3]);
+        assert_eq!(pool(&s, &lenient), vec![1, 2, 3]);
     }
 
     #[test]

@@ -1,28 +1,32 @@
-//! The cluster dispatcher: deterministic query-to-shard routing.
+//! The cluster dispatcher's routing policies: deterministic
+//! query-to-shard choice.
 //!
 //! Routing runs as a **sequential prologue** before any shard executes:
-//! the dispatcher walks the global query trace in arrival order and
-//! produces one shard index per query. Updates are not routed — they
-//! always follow their item to its owner shard. Because the dispatcher
-//! never observes shard execution (it works from the trace and its own
-//! deterministic state), the assignment is a pure function of
-//! `(trace, n_shards, routing policy)` — the first half of the cluster's
-//! bit-reproducibility argument (DESIGN.md §3).
+//! the one dispatcher (`failover::dispatch`) walks the global
+//! query trace in arrival order and, for each query, asks `RouterState`
+//! to pick among the query's candidate shards. Updates are not routed —
+//! they follow their item to the shards hosting it. Because the
+//! dispatcher never observes shard execution (it works from the trace,
+//! the declarative fault plan and its own deterministic state), the
+//! assignment is a pure function of its inputs — the first half of the
+//! cluster's bit-reproducibility argument (DESIGN.md §3).
 //!
-//! A query is only ever routed among its *eligible* shards: the owners of
-//! at least one item in its read set. Routing a query to a shard that owns
-//! none of its data would make the shard engine read items whose update
-//! streams it never sees — legal (the items just stay at their initial
-//! version) but pointless; restricting to eligible shards keeps every read
-//! observable by the update traffic that invalidates it.
+//! A query is only ever routed among shards hosting at least one item in
+//! its read set (at replication factor 1: the owners). Routing a query to
+//! a shard that hosts none of its data would make the shard engine read
+//! items whose update streams it never sees — legal (the items just stay
+//! at their initial version) but pointless; restricting to hosts keeps
+//! every read observable by the update traffic that invalidates it.
 
+use crate::failover::FailoverPolicy;
 use crate::merge::ReplicaRouteRecord;
-use crate::replication::ReplicaSets;
+use crate::replication::{ReplicaSets, ReplicationConfig};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use unit_core::time::{SimDuration, SimTime};
 use unit_core::types::{DataId, QuerySpec, Trace};
+use unit_faults::FaultPlan;
 use unit_workload::ItemPartition;
 
 /// How the dispatcher spreads queries over their eligible shards.
@@ -62,31 +66,20 @@ impl RoutingPolicy {
 
 /// Compute the query-to-shard assignment for `trace` under `routing`.
 ///
-/// Walks queries in trace (= arrival) order, O(N_q · (A + log N_q)) for
-/// read sets of size A. Pure and sequential: identical inputs give an
-/// identical assignment on every run and any worker-thread count, because
-/// worker threads have not even been spawned yet when this runs.
+/// The fault-free, partition-only case of the one dispatcher
+/// (`failover::dispatch`): factor-1 replica sets under a quiet
+/// plan, so every query is routed among its owner shards at its arrival.
+/// Pure and sequential: identical inputs give an identical assignment on
+/// every run and any worker-thread count, because worker threads have not
+/// even been spawned yet when this runs. O(N_q · (A + log N_q)) for read
+/// sets of size A.
 pub fn assign(trace: &Trace, partition: &ItemPartition, routing: RoutingPolicy) -> Vec<usize> {
-    match routing {
-        RoutingPolicy::RoundRobin => assign_round_robin(trace, partition),
-        RoutingPolicy::LeastLoad => assign_least_load(trace, partition),
-        RoutingPolicy::FreshnessAware => assign_freshness_aware(trace, partition),
-    }
-}
-
-fn assign_round_robin(trace: &Trace, partition: &ItemPartition) -> Vec<usize> {
-    let mut counter = 0usize;
-    trace
-        .queries
-        .iter()
-        .map(|q| {
-            let eligible = partition.eligible_shards(&q.items);
-            // lint: allow(D6) — eligible is non-empty for a valid trace; the modulo keeps the cursor in range
-            let shard = eligible[counter % eligible.len()];
-            counter += 1;
-            shard
-        })
-        .collect()
+    let n = partition.n_shards();
+    let sets = ReplicaSets::new(trace, n, &ReplicationConfig::new(1), 0, SimDuration::ZERO);
+    let plan = FaultPlan::quiet(n);
+    let dispatch =
+        crate::failover::dispatch(trace, &sets, routing, &plan, &FailoverPolicy::NoRetry);
+    crate::failover::routed_trace(trace, &dispatch.decisions).1
 }
 
 /// Per-shard outstanding-work ledger for `LeastLoad`.
@@ -124,34 +117,6 @@ impl ShardLoad {
     }
 }
 
-fn assign_least_load(trace: &Trace, partition: &ItemPartition) -> Vec<usize> {
-    let mut loads: Vec<ShardLoad> = (0..partition.n_shards())
-        .map(|_| ShardLoad::new())
-        .collect();
-    trace
-        .queries
-        .iter()
-        .map(|q| {
-            let eligible = partition.eligible_shards(&q.items);
-            let shard = eligible
-                .iter()
-                .copied()
-                .map(|s| {
-                    // lint: allow(D6) — eligible shard ids are < n_shards
-                    loads[s].expire(q.arrival);
-                    // Ties break to the lowest shard id: min_by_key keeps
-                    // the first minimum and `eligible` is ascending.
-                    (loads[s].outstanding, s) // lint: allow(D6) — s < n_shards
-                })
-                .min()
-                .map_or(0, |(_, s)| s); // eligible is never empty for a valid trace
-                                        // lint: allow(D6) — the picked shard came from `eligible`
-            loads[shard].admit(q.deadline(), q.exec_time);
-            shard
-        })
-        .collect()
-}
-
 /// Dispatcher-side freshness estimator for `FreshnessAware`.
 ///
 /// The dispatcher cannot see the shards' real `Udrop` tables without
@@ -165,7 +130,7 @@ fn assign_least_load(trace: &Trace, partition: &ItemPartition) -> Vec<usize> {
 /// update periods at runtime. DESIGN.md §3 discusses the gap.
 pub(crate) struct FreshnessEstimate {
     /// Per item: the `(first_arrival, period)` of each update stream on it.
-    streams: Vec<Vec<(SimTime, SimDuration)>>,
+    pub(crate) streams: Vec<Vec<(SimTime, SimDuration)>>,
     /// Per item: version count at the last routed read of the item.
     baseline: Vec<u64>,
 }
@@ -212,40 +177,10 @@ impl FreshnessEstimate {
     }
 }
 
-/// What the dispatcher knows about which shards can serve which items —
-/// the one seam between partition-only and replicated routing.
-///
-/// `FreshnessAware` needs two capabilities from the placement: a
-/// staleness estimate for "item `d` as served by shard `s`" (`None` when
-/// `s` hosts no replica of `d`), and whether routing a read of `d` to `s`
-/// refreshes the dispatcher's estimate. For [`ItemPartition`] the answers
-/// are the classic owner checks, so [`RouterState`] backed by a partition
-/// is bit-identical to the fault-free assigners; [`ReplicaSets`] widens
-/// both answers to followers without touching the decision logic.
-pub(crate) trait HostView {
-    /// Dispatcher-side staleness estimate of `d` as served by `s`, or
-    /// `None` when `s` hosts no replica of `d`.
-    fn staleness(&self, est: &FreshnessEstimate, d: DataId, s: usize, now: SimTime) -> Option<u64>;
-
-    /// True when routing a read of `d` to `s` refreshes the dispatcher's
-    /// estimate for `d` (only an authoritative — leader — read does).
-    fn refreshes(&self, s: usize, d: DataId) -> bool;
-}
-
-impl HostView for ItemPartition {
-    fn staleness(&self, est: &FreshnessEstimate, d: DataId, s: usize, now: SimTime) -> Option<u64> {
-        (self.owner(d) == s).then(|| est.udrop(d.index(), now))
-    }
-
-    fn refreshes(&self, s: usize, d: DataId) -> bool {
-        self.owner(d) == s
-    }
-}
-
-/// The underlying routing policy's mutable state, factored so the
-/// fault-aware and replicated dispatchers reuse the exact decision logic
-/// of [`assign`] — restricted to a candidate pool — and are bit-identical
-/// to it when the pool equals the eligible set.
+/// The routing policy's mutable state. The dispatcher asks it to pick
+/// among a candidate pool and then to account for the pick; replica sets
+/// tell it which shards host which items, and at factor 1 every host is
+/// the item's owner.
 pub(crate) enum RouterState {
     RoundRobin { counter: usize },
     LeastLoad { loads: Vec<ShardLoad> },
@@ -266,14 +201,13 @@ impl RouterState {
     }
 
     /// Pick a shard from the non-empty `pool` (ascending shard ids) for a
-    /// query being dispatched at `now`. Mirrors the fault-free assigners:
-    /// same counters, same ledgers, same lowest-id tie-breaks.
+    /// query being dispatched at `now`; ties go to the lowest shard id.
     pub(crate) fn pick(
         &mut self,
         q: &QuerySpec,
         pool: &[usize],
         now: SimTime,
-        view: &impl HostView,
+        sets: &ReplicaSets,
     ) -> usize {
         match self {
             RouterState::RoundRobin { counter } => {
@@ -299,7 +233,7 @@ impl RouterState {
                     let staleness: u64 = q
                         .items
                         .iter()
-                        .filter_map(|&d| view.staleness(est, d, s, now))
+                        .filter_map(|&d| staleness(sets, est, d, s, now))
                         .max()
                         .unwrap_or(0);
                     (staleness, s)
@@ -309,27 +243,45 @@ impl RouterState {
         }
     }
 
-    /// Account for a routed query, mirroring the fault-free assigners'
-    /// post-pick bookkeeping.
-    pub(crate) fn commit(
-        &mut self,
-        q: &QuerySpec,
-        shard: usize,
-        now: SimTime,
-        view: &impl HostView,
-    ) {
+    /// Account for a query routed to `shard` at `now`.
+    pub(crate) fn commit(&mut self, q: &QuerySpec, shard: usize, now: SimTime, sets: &ReplicaSets) {
         match self {
             RouterState::RoundRobin { .. } => {}
             // lint: allow(D6) — the committed shard came from the pool
             RouterState::LeastLoad { loads } => loads[shard].admit(q.deadline(), q.exec_time),
             RouterState::FreshnessAware { est } => {
+                // Only a leader read refreshes the estimate: a follower
+                // read neither updates the leader nor catches the follower
+                // up beyond its propagation schedule.
                 for &d in &q.items {
-                    if view.refreshes(shard, d) {
+                    if sets.map().leader(d) == shard {
                         est.reset(d.index(), now);
                     }
                 }
             }
         }
+    }
+}
+
+/// Dispatcher-side staleness estimate of `d` as served by shard `s`, or
+/// `None` when `s` hosts no replica of `d`. A follower lags the leader
+/// estimate by what is in transit to it.
+fn staleness(
+    sets: &ReplicaSets,
+    est: &FreshnessEstimate,
+    d: DataId,
+    s: usize,
+    now: SimTime,
+) -> Option<u64> {
+    if sets.map().leader(d) == s {
+        Some(est.udrop(d.index(), now))
+    } else if sets.map().follows(s, d) {
+        Some(
+            est.udrop(d.index(), now)
+                .saturating_add(sets.claimed_transit(d, now)),
+        )
+    } else {
+        None
     }
 }
 
@@ -362,68 +314,6 @@ pub(crate) fn replica_route_record(
             .max()
             .unwrap_or(0),
     })
-}
-
-/// Compute the query-to-shard assignment under replication: like
-/// [`assign`], but each query's pool is its [`ReplicaSets::candidate_pool`]
-/// — leaders plus `Qu`-admissible followers — and the returned records
-/// name every route that landed on a follower. With `factor == 1` the
-/// pools equal the eligible sets and the assignment is bit-identical to
-/// [`assign`] (the replication differential suite pins this), with no
-/// records. Pure and sequential, same complexity envelope as [`assign`].
-pub(crate) fn assign_replicated(
-    trace: &Trace,
-    sets: &ReplicaSets,
-    routing: RoutingPolicy,
-) -> (Vec<usize>, Vec<ReplicaRouteRecord>) {
-    let mut router = RouterState::new(routing, trace, sets.map().n_shards());
-    let mut routes = Vec::new();
-    let assignment = trace
-        .queries
-        .iter()
-        .map(|q| {
-            let pool = sets.candidate_pool(q, q.arrival);
-            let shard = router.pick(q, &pool, q.arrival, sets);
-            router.commit(q, shard, q.arrival, sets);
-            if let Some(r) = replica_route_record(sets, q, shard, q.arrival) {
-                routes.push(r);
-            }
-            shard
-        })
-        .collect();
-    (assignment, routes)
-}
-
-fn assign_freshness_aware(trace: &Trace, partition: &ItemPartition) -> Vec<usize> {
-    let mut est = FreshnessEstimate::new(trace);
-    trace
-        .queries
-        .iter()
-        .map(|q| {
-            let eligible = partition.eligible_shards(&q.items);
-            let shard = eligible
-                .iter()
-                .copied()
-                .map(|s| {
-                    let staleness: u64 = q
-                        .items
-                        .iter()
-                        .filter(|&&d| partition.owner(d) == s)
-                        .map(|&d| est.udrop(d.index(), q.arrival))
-                        .max()
-                        .unwrap_or(0);
-                    (staleness, s)
-                })
-                .min()
-                .map_or(0, |(_, s)| s); // eligible is never empty for a valid trace
-            for &d in &q.items {
-                if partition.owner(d) == shard {
-                    est.reset(d.index(), q.arrival);
-                }
-            }
-            shard
-        })
-        .collect()
 }
 
 #[cfg(test)]

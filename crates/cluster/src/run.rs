@@ -8,6 +8,11 @@
 //! instead of once per entry point. Future shard/batching features extend
 //! this builder rather than growing new top-level functions.
 //!
+//! Every run takes the same path: one dispatcher walks the queries over
+//! replica sets (factor 1 without replication) under a fault plan (a quiet
+//! one without faults), one slicer cuts the per-shard traces, and one
+//! shard loop steps the engines.
+//!
 //! ## Observation model
 //!
 //! Each shard engine records into its own private unbounded
@@ -24,8 +29,7 @@
 use crate::failover::{self, FailoverPolicy, FaultClusterReport, RouteDecision};
 use crate::merge::{ClusterReport, ReplicationReport};
 use crate::replication::{ReplicaSets, ReplicationConfig};
-use crate::routing;
-use crate::{ClusterConfig, ClusterConfigError, ExecutionMode};
+use crate::{ClusterConfig, ClusterConfigError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use unit_core::policy::Policy;
@@ -37,11 +41,12 @@ use unit_core::UnitConfig;
 use unit_faults::{FaultPlan, FaultSchedule, ShardFaults};
 use unit_obs::{FaultPhase, ObsEvent, Observer, RingRecorder};
 use unit_sim::{HealthState, SimConfig, SimReport, SimRun, Simulator};
-use unit_workload::{slice_trace, slice_trace_filtered, slice_trace_replicated, ItemPartition};
+use unit_workload::slice_trace_replicated;
 
 /// A configured cluster run: faults and observation are layered onto the
 /// shape described by the [`ClusterConfig`] it was built from, mirroring
-/// the single-server `Simulator::with_faults`/`with_observer` builders.
+/// the single-server [`SimRun::with_faults`]/[`SimRun::with_observer`]
+/// builder.
 pub struct ClusterRun<'a> {
     cluster: ClusterConfig,
     faults: Option<(&'a FaultPlan, FailoverPolicy)>,
@@ -101,26 +106,13 @@ impl ClusterConfig {
 }
 
 impl<'a> ClusterRun<'a> {
-    /// Install a fault plan and the dispatcher's failover policy. The run
-    /// then uses fault-aware routing, executes each shard with its
-    /// [`ShardFaults`] hook, and returns
-    /// [`ClusterRunReport::Faulty`].
+    /// Install a fault plan and the dispatcher's failover policy. The
+    /// dispatcher then routes around unhealthy shards, each shard runs
+    /// with its [`ShardFaults`] hook (unless the plan is quiet), and the
+    /// run returns [`ClusterRunReport::Faulty`].
     #[must_use]
     pub fn with_faults(mut self, plan: &'a FaultPlan, failover: FailoverPolicy) -> ClusterRun<'a> {
         self.faults = Some((plan, failover));
-        self
-    }
-
-    /// Install per-item leader/follower replication (equivalent to setting
-    /// it on the [`ClusterConfig`] with
-    /// [`ClusterConfig::with_replication`]): updates fan out to follower
-    /// shards under the configured propagation lag, and reads may be
-    /// served by any replica whose dispatcher-side `Qu` bound clears the
-    /// query's freshness requirement. `factor == 1` is bit-identical to a
-    /// non-replicated run (the replication differential suite pins this).
-    #[must_use]
-    pub fn with_replication(mut self, replication: ReplicationConfig) -> ClusterRun<'a> {
-        self.cluster.replication = Some(replication);
         self
     }
 
@@ -169,91 +161,51 @@ impl<'a> ClusterRun<'a> {
         } = self;
         cluster.validate()?;
         let n = cluster.n_shards;
-        let partition = ItemPartition::new(n);
-        let sets = cluster
-            .replication
-            .as_ref()
-            .map(|rep| ReplicaSets::new(trace, n, rep, cluster.seed, sim.horizon));
-
-        // Dispatch prologue: fault-aware when a plan is installed, the
-        // plain assigner otherwise; with replication, pools widen to
-        // Qu-admissible followers. All four paths are sequential and pure.
-        let mut routes = Vec::new();
-        let mut promotions = Vec::new();
-        let (hooks, decisions, routed_storage, assignment) = match faults {
-            Some((plan, failover)) => {
-                if plan.shards.len() != n {
-                    return Err(ClusterConfigError::PlanShardMismatch {
-                        plan_shards: plan.shards.len(),
-                        n_shards: n,
-                    });
-                }
-                if let Some(sets) = &sets {
-                    // Propagation owns the full horizon of every followed
-                    // item's streams; a user fault there would overlap it.
-                    for (shard, sched) in plan.shards.iter().enumerate() {
-                        for f in &sched.stream_faults {
-                            if sets.map().follows(shard, f.item) {
-                                return Err(ClusterConfigError::ReplicationFaultConflict {
-                                    shard,
-                                    item: f.item.0,
-                                });
-                            }
-                        }
-                    }
-                }
-                let hooks = build_shard_hooks(n, Some(plan), sets.as_ref())?;
-                let decisions = match &sets {
-                    Some(sets) => {
-                        let replicated = failover::route_with_faults_replicated(
-                            trace,
-                            sets,
-                            cluster.routing,
-                            plan,
-                            &failover,
-                        );
-                        routes = replicated.routes;
-                        promotions = replicated.promotions;
-                        replicated.decisions
-                    }
-                    None => failover::route_with_faults(
-                        trace,
-                        &partition,
-                        cluster.routing,
-                        plan,
-                        &failover,
-                    ),
-                };
-                let (routed, assignment) = failover::routed_trace(trace, &decisions);
-                (hooks, Some(decisions), Some(routed), assignment)
-            }
+        // The general path: replica sets (factor 1 without replication)
+        // under a fault plan (a quiet one without faults).
+        let replication = cluster.replication.unwrap_or(ReplicationConfig::new(1));
+        let sets = ReplicaSets::new(trace, n, &replication, cluster.seed, sim.horizon);
+        let quiet;
+        let (plan, failover) = match faults {
+            Some(installed) => installed,
             None => {
-                let assignment = match &sets {
-                    Some(sets) => {
-                        let (assignment, r) =
-                            routing::assign_replicated(trace, sets, cluster.routing);
-                        routes = r;
-                        assignment
-                    }
-                    None => routing::assign(trace, &partition, cluster.routing),
-                };
-                let hooks = build_shard_hooks(n, None, sets.as_ref())?;
-                (hooks, None, None, assignment)
+                quiet = FaultPlan::quiet(n);
+                (&quiet, FailoverPolicy::NoRetry)
             }
         };
-        let exec_trace = routed_storage.as_ref().unwrap_or(trace);
-        let sliced = match &sets {
-            Some(sets) => {
-                slice_trace_replicated(exec_trace, &assignment, sets.map(), cluster.filter_updates)
-                    .map(|(t, _)| t)
+        if plan.shards.len() != n {
+            return Err(ClusterConfigError::PlanShardMismatch {
+                plan_shards: plan.shards.len(),
+                n_shards: n,
+            });
+        }
+        // Propagation owns the full horizon of every followed item's
+        // streams; a user fault there would overlap it.
+        for (shard, sched) in plan.shards.iter().enumerate() {
+            if let Some(f) = sched
+                .stream_faults
+                .iter()
+                .find(|f| sets.map().follows(shard, f.item))
+            {
+                return Err(ClusterConfigError::ReplicationFaultConflict {
+                    shard,
+                    item: f.item.0,
+                });
             }
-            None if cluster.filter_updates => {
-                slice_trace_filtered(exec_trace, &assignment, &partition).map(|(t, _)| t)
-            }
-            None => slice_trace(exec_trace, &assignment, &partition),
-        };
-        let shard_traces = match sliced {
-            Ok(t) => t,
+        }
+        let hooks = build_shard_hooks(plan, &sets)?;
+
+        // Dispatch prologue: sequential and pure.
+        let dispatch = failover::dispatch(trace, &sets, cluster.routing, plan, &failover);
+        let (routed, assignment) = failover::routed_trace(trace, &dispatch.decisions);
+        let exec_trace = routed.as_ref().unwrap_or(trace);
+        let shard_traces = match slice_trace_replicated(
+            exec_trace,
+            &assignment,
+            sets.map(),
+            cluster.filter_updates,
+        ) {
+            Ok((t, _)) => t,
             // lint: allow(panic) — the dispatcher produced the assignment; a bad one is a routing bug, not caller input
             Err(e) => panic!("internal routing error: {e}"),
         };
@@ -263,7 +215,7 @@ impl<'a> ClusterRun<'a> {
             &seeds,
             sim.with_outcome_log(),
             cluster.workers,
-            cluster.mode,
+            cluster.epoch,
             hooks.as_deref(),
             obs.is_some(),
             &make_policy,
@@ -286,17 +238,17 @@ impl<'a> ClusterRun<'a> {
             "cluster-usm-identity",
             crate::merge::check_cluster_identity(&cluster_report)
         );
-        if let Some(sets) = &sets {
+        if cluster.replication.is_some() {
             let replication = ReplicationReport {
                 factor: sets.factor(),
                 propagation: sets.propagation_log(),
-                routes,
-                promotions,
+                routes: dispatch.routes,
+                promotions: dispatch.promotions,
             };
             unit_core::validate_check!(
                 "replication-consistency",
                 crate::replication::check_replication_consistency(
-                    sets,
+                    &sets,
                     &replication,
                     sim.tick_period,
                     sim.horizon
@@ -310,28 +262,21 @@ impl<'a> ClusterRun<'a> {
                 observer,
                 trace,
                 recorders,
-                decisions.as_deref(),
+                &dispatch.decisions,
                 hooks.as_deref(),
-                cluster_report.assignment.as_slice(),
-                exec_trace,
                 cluster_report.replication.as_ref(),
             );
         }
 
-        match decisions {
-            Some(decisions) => {
-                let report = FaultClusterReport::assemble(trace, cluster_report, decisions);
-                #[cfg(feature = "validate")]
-                if let Some((plan, failover)) = faults {
-                    unit_core::validate_check!(
-                        "health-consistency",
-                        failover::check_health_consistency(&report, plan, &failover)
-                    );
-                }
-                Ok(ClusterRunReport::Faulty(report))
-            }
-            None => Ok(ClusterRunReport::Plain(cluster_report)),
+        if faults.is_none() {
+            return Ok(ClusterRunReport::Plain(cluster_report));
         }
+        let report = FaultClusterReport::assemble(trace, cluster_report, dispatch.decisions);
+        unit_core::validate_check!(
+            "health-consistency",
+            failover::check_health_consistency(&report, plan, &failover)
+        );
+        Ok(ClusterRunReport::Faulty(report))
     }
 
     /// Execute a UNIT run: one [`UnitPolicy`] per shard, each configured
@@ -351,38 +296,28 @@ impl<'a> ClusterRun<'a> {
     }
 }
 
-/// Build each shard's fault hook by merging the user plan (if any) with
-/// the replication layer's propagation schedules (if any): every followed
-/// item's streams run under the seeded windowed delays on that shard.
+/// Build each shard's fault hook by merging the plan with the replication
+/// layer's propagation schedules: every followed item's streams run under
+/// the seeded windowed delays on that shard.
 ///
-/// Returns `None` when there is nothing to install — no plan and every
-/// propagation schedule empty (factor 1 or zero lag) — so a degenerate
-/// replicated run executes its shards byte-identically to an unhooked
-/// plain run. The conflict check in [`ClusterRun::run`] guarantees user
-/// stream faults and propagation faults touch disjoint items per shard,
-/// so the merged list stays valid (sorted, non-overlapping per item).
+/// Returns `None` when every merged schedule is empty — no faults, and
+/// factor 1 or zero lag — so such a run steps its engines unhooked. The
+/// conflict check in [`ClusterRun::run`] guarantees user stream faults and
+/// propagation faults touch disjoint items per shard, so the merged list
+/// stays valid (sorted, non-overlapping per item).
 fn build_shard_hooks(
-    n: usize,
-    plan: Option<&FaultPlan>,
-    sets: Option<&ReplicaSets>,
+    plan: &FaultPlan,
+    sets: &ReplicaSets,
 ) -> Result<Option<Vec<ShardFaults>>, ClusterConfigError> {
-    let mut schedules: Vec<FaultSchedule> = match plan {
-        Some(p) => p.shards.clone(),
-        None => vec![FaultSchedule::empty(); n],
-    };
-    let mut any = plan.is_some();
-    if let Some(sets) = sets {
-        for (s, sched) in schedules.iter_mut().enumerate() {
-            let props = sets.propagation_faults(s);
-            if props.is_empty() {
-                continue;
-            }
-            any = true;
+    let mut schedules = plan.shards.clone();
+    for (s, sched) in schedules.iter_mut().enumerate() {
+        let props = sets.propagation_faults(s);
+        if !props.is_empty() {
             sched.stream_faults.extend(props);
             sched.stream_faults.sort_by_key(|f| (f.item.0, f.start));
         }
     }
-    if !any {
+    if schedules.iter().all(FaultSchedule::is_empty) {
         return Ok(None);
     }
     let hooks = schedules
@@ -401,19 +336,32 @@ fn build_shard_hooks(
 /// shard spent being built, stepped, and finished, excluding barrier
 /// waits).
 ///
+/// Worker `w` statically owns shards `w, w + W, w + 2W, …`; each shard is
+/// built, stepped, and finished on exactly one thread, its engine built
+/// lazily on its first step. All workers advance in lockstep through
+/// virtual-time rounds `(k·ε, (k+1)·ε]`. Two barriers close each round:
+/// one publishes the round's drain count, one makes sure every worker has
+/// read it before the next round's decrements start — the counter is
+/// monotone, so all workers agree on the exit round and nobody strands a
+/// peer at a barrier. A single worker has no peer to keep pace with, so
+/// it runs on the calling thread and always takes one whole-run round: it
+/// builds, drains, and finishes one engine before building the next,
+/// keeping one engine in memory.
+///
 /// Interleaving-independence: shards share no mutable state — each
 /// consumes its own trace slice, seed, and (when recording) a recorder
-/// private to its worker — and results land in slots keyed by shard id, so
-/// neither claim order, finish order, worker count, nor the execution
-/// `mode` is observable in the output. With `hooks`, shard `i` runs with
-/// `hooks[i]` installed as its fault hook.
+/// private to its worker — pausing an engine at a round boundary reorders
+/// nothing ([`Simulator::step_until`]), and results land in slots keyed by
+/// shard id, so neither the worker count nor the epoch is observable in
+/// the output. With `hooks`, shard `i` runs with `hooks[i]` installed as
+/// its fault hook. O(E log N_ev + R·W) for R rounds.
 #[allow(clippy::too_many_arguments)]
 fn execute_shards<P, F>(
     shard_traces: &[Trace],
     seeds: &[u64],
     shard_cfg: SimConfig,
     workers: usize,
-    mode: ExecutionMode,
+    epoch: SimDuration,
     hooks: Option<&[ShardFaults]>,
     record: bool,
     make_policy: &F,
@@ -434,239 +382,117 @@ where
     } else {
         workers.min(n)
     };
-    if workers == 1 {
-        // One worker: epoch lockstep and whole-shard claiming both
-        // degenerate to serial execution, and the output is mode- and
-        // worker-invariant (pinned by the differential suites) — so run
-        // the shards inline on this thread, skipping the spawn, the
-        // barriers, and the per-epoch engine round-robin entirely.
-        return shard_traces
-            .iter()
-            .enumerate()
-            .map(|(i, shard_trace)| {
-                // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
-                let started = std::time::Instant::now();
-                // lint: allow(D6) — i < n == seeds.len() (caller invariant)
-                let policy = make_policy(i, seeds[i]);
-                let mut rec = record.then(RingRecorder::unbounded);
-                let report = {
-                    let mut run = SimRun::trace(shard_trace, policy, shard_cfg);
-                    if let Some(hooks) = hooks {
-                        // lint: allow(D6) — hooks, when present, has n entries
-                        run = run.with_faults(Box::new(hooks[i].clone()));
-                    }
-                    if let Some(r) = rec.as_mut() {
-                        run = run.with_observer(r);
-                    }
-                    run.run()
-                };
-                (report, rec, started.elapsed().as_secs_f64())
-            })
-            .collect();
-    }
-    if let ExecutionMode::EpochParallel { epoch } = mode {
-        return execute_shards_epoch(
-            shard_traces,
-            seeds,
-            shard_cfg,
-            workers,
-            epoch,
-            hooks,
-            record,
-            make_policy,
-        );
-    }
-    let mut slots: Vec<Option<(SimReport, Option<RingRecorder>, f64)>> =
-        (0..n).map(|_| None).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let next = &next;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut finished: Vec<(usize, SimReport, Option<RingRecorder>, f64)> =
-                        Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
-                        let started = std::time::Instant::now();
-                        // lint: allow(D6) — i < n == seeds.len() (caller invariant)
-                        let policy = make_policy(i, seeds[i]);
-                        let mut rec = record.then(RingRecorder::unbounded);
-                        let report = {
-                            // lint: allow(D6) — i < n == shard_traces.len()
-                            let mut run = SimRun::trace(&shard_traces[i], policy, shard_cfg);
-                            if let Some(hooks) = hooks {
-                                // lint: allow(D6) — hooks, when present, has n entries
-                                run = run.with_faults(Box::new(hooks[i].clone()));
-                            }
-                            if let Some(r) = rec.as_mut() {
-                                run = run.with_observer(r);
-                            }
-                            run.run()
-                        };
-                        finished.push((i, report, rec, started.elapsed().as_secs_f64()));
-                    }
-                    finished
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint: allow(panic) — a worker panic is a shard-engine bug;
-            // propagate it instead of reporting a partial cluster
-            let finished = match h.join() {
-                Ok(f) => f,
-                Err(e) => std::panic::resume_unwind(e),
-            };
-            for (i, report, rec, wall) in finished {
-                // lint: allow(D6) — workers only claim indices i < n
-                slots[i] = Some((report, rec, wall));
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| match s {
-            Some(r) => r,
-            // lint: allow(panic) — every index < n is claimed exactly once
-            None => panic!("shard {i} produced no report"),
-        })
-        .collect()
-}
-
-/// Epoch-parallel execution: worker `w` statically owns shards
-/// `w, w + W, w + 2W, …` (each shard is built, stepped, and finished on
-/// exactly one thread), and all live shards advance in lockstep through
-/// virtual-time windows `(k·ε, (k+1)·ε]`. Two barriers close each round: one
-/// publishes the round's drain count, one makes sure every worker has read
-/// it before the next round's decrements start — the counter is monotone,
-/// so all workers agree on the exit round and nobody strands a peer at a
-/// barrier. Shards share no mutable state, and pausing an engine at an
-/// epoch boundary reorders nothing ([`Simulator::step_until`]), so the
-/// output is bit-identical to [`ExecutionMode::WholeShard`] for any worker
-/// count or epoch. O(E log N_ev + R·W) for R rounds.
-#[allow(clippy::too_many_arguments)]
-fn execute_shards_epoch<P, F>(
-    shard_traces: &[Trace],
-    seeds: &[u64],
-    shard_cfg: SimConfig,
-    workers: usize,
-    epoch: SimDuration,
-    hooks: Option<&[ShardFaults]>,
-    record: bool,
-    make_policy: &F,
-) -> Vec<(SimReport, Option<RingRecorder>, f64)>
-where
-    P: Policy + Send,
-    F: Fn(usize, u64) -> P + Sync,
-{
-    let n = shard_traces.len();
-    debug_assert!(workers >= 1 && workers <= n);
+    let epoch = if workers == 1 {
+        SimDuration::MAX
+    } else {
+        epoch
+    };
     debug_assert!(!epoch.is_zero(), "validate() rejects zero epochs");
     let barrier = Barrier::new(workers);
     let live_total = AtomicUsize::new(n);
-    let mut slots: Vec<Option<(SimReport, Option<RingRecorder>, f64)>> =
-        (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let barrier = &barrier;
-        let live_total = &live_total;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let owned: Vec<usize> = (w..n).step_by(workers).collect();
-                    let mut recs: Vec<Option<RingRecorder>> = owned
-                        .iter()
-                        .map(|_| record.then(RingRecorder::unbounded))
-                        .collect();
-                    // Engines borrow their recorders element-wise; `recs`
-                    // stays mutably borrowed until every engine is finished.
-                    // Walls accumulate each shard's build + stepping time,
-                    // never the barrier waits below.
-                    let (mut sims, mut walls): (Vec<Option<Simulator<'_, P>>>, Vec<f64>) = owned
-                        .iter()
-                        .zip(recs.iter_mut())
-                        .map(|(&i, rec)| {
-                            // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
-                            let started = std::time::Instant::now();
-                            let mut run = SimRun::trace(
-                                &shard_traces[i],         // lint: allow(D6) — i < n == shard_traces.len()
-                                make_policy(i, seeds[i]), // lint: allow(D6) — i < n
-                                shard_cfg,
-                            );
-                            if let Some(hooks) = hooks {
-                                // Setup, not stepping: one clone per shard per run.
-                                // lint: allow(D6,P2) — hooks has n entries; runs once per shard
-                                run = run.with_faults(Box::new(hooks[i].clone()));
-                            }
-                            if let Some(r) = rec.as_mut() {
-                                run = run.with_observer(r);
-                            }
-                            (Some(run.build()), started.elapsed().as_secs_f64())
-                        })
-                        .unzip();
-                    let mut reports: Vec<Option<SimReport>> = owned.iter().map(|_| None).collect();
-                    let mut limit = SimTime::ZERO;
-                    loop {
-                        limit += epoch;
-                        for (j, slot) in sims.iter_mut().enumerate() {
-                            let Some(sim) = slot.as_mut() else { continue };
-                            // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
-                            let started = std::time::Instant::now();
-                            if !sim.step_until(limit) {
-                                // Drained: harvest now so the report is
-                                // ready the moment the cluster converges.
-                                if let Some(sim) = slot.take() {
-                                    // lint: allow(D6) — j indexes sims, same length
-                                    reports[j] = Some(sim.finish().0);
-                                }
-                                // Relaxed is enough: the barriers below
-                                // order this store against every reader.
-                                live_total.fetch_sub(1, Ordering::Relaxed);
-                            }
-                            // lint: allow(D6) — j indexes sims, same length
-                            walls[j] += started.elapsed().as_secs_f64();
-                        }
-                        barrier.wait(); // round's drains are published
-                        let done = live_total.load(Ordering::Relaxed) == 0;
-                        barrier.wait(); // everyone has read before round k+1
-                        if done {
-                            break;
-                        }
-                    }
-                    drop(sims); // ends the recorder borrows
-                    owned
-                        .into_iter()
-                        .zip(reports)
-                        .zip(recs)
-                        .zip(walls)
-                        .map(|(((i, report), rec), wall)| {
-                            let Some(report) = report else {
-                                // lint: allow(panic) — the loop only exits once every shard drained
-                                panic!("shard {i} exited the epoch loop unfinished")
-                            };
-                            (i, report, rec, wall)
-                        })
-                        .collect::<Vec<_>>()
-                })
+    // Worker `w`'s loop over the shards it owns: `(shard, report,
+    // recorder, wall)` for each of them.
+    let work = |w: usize| {
+        let owned: Vec<usize> = (w..n).step_by(workers).collect();
+        let mut recs: Vec<Option<RingRecorder>> = owned
+            .iter()
+            .map(|_| record.then(RingRecorder::unbounded))
+            .collect();
+        // Engines borrow their recorders element-wise; `recs`
+        // stays mutably borrowed until every engine is finished.
+        let mut lanes: Vec<Lane<'_, P>> = owned
+            .iter()
+            .zip(recs.iter_mut())
+            .map(|(&shard, rec)| Lane {
+                shard,
+                rec: rec.as_mut(),
+                sim: None,
+                report: None,
+                wall: 0.0,
             })
             .collect();
-        for h in handles {
-            // lint: allow(panic) — a worker panic is a shard-engine bug;
-            // propagate it instead of reporting a partial cluster
-            let finished = match h.join() {
-                Ok(f) => f,
-                Err(e) => std::panic::resume_unwind(e),
-            };
-            for (i, report, rec, wall) in finished {
-                // lint: allow(D6) — workers only claim indices i < n
-                slots[i] = Some((report, rec, wall));
+        let mut limit = SimTime::ZERO;
+        loop {
+            limit += epoch;
+            for lane in lanes.iter_mut().filter(|l| l.report.is_none()) {
+                // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
+                let started = std::time::Instant::now();
+                let i = lane.shard;
+                let sim = lane.sim.get_or_insert_with(|| {
+                    let mut run = SimRun::trace(
+                        &shard_traces[i],         // lint: allow(D6) — i < n == shard_traces.len()
+                        make_policy(i, seeds[i]), // lint: allow(D6) — i < n
+                        shard_cfg,
+                    );
+                    if let Some(hooks) = hooks {
+                        // Setup, not stepping: one clone per shard per run.
+                        // lint: allow(D6,P2) — hooks has n entries; runs once per shard
+                        run = run.with_faults(Box::new(hooks[i].clone()));
+                    }
+                    if let Some(r) = lane.rec.take() {
+                        run = run.with_observer(r);
+                    }
+                    run.build()
+                });
+                if !sim.step_until(limit) {
+                    // Drained: harvest now so the report is
+                    // ready the moment the cluster converges,
+                    // and the engine's memory is freed.
+                    lane.report = lane.sim.take().map(|sim| sim.finish().0);
+                    // Relaxed is enough: the barriers below
+                    // order this store against every reader.
+                    live_total.fetch_sub(1, Ordering::Relaxed);
+                }
+                lane.wall += started.elapsed().as_secs_f64();
+            }
+            barrier.wait(); // round's drains are published
+            let done = live_total.load(Ordering::Relaxed) == 0;
+            barrier.wait(); // everyone has read before round k+1
+            if done {
+                break;
             }
         }
-    });
+        let finished: Vec<_> = lanes
+            .into_iter()
+            .map(|lane| (lane.shard, lane.report, lane.wall))
+            .collect(); // ends the recorder borrows
+        finished
+            .into_iter()
+            .zip(recs)
+            .map(|((i, report, wall), rec)| {
+                let Some(report) = report else {
+                    // lint: allow(panic) — the loop only exits once every shard drained
+                    panic!("shard {i} exited the epoch loop unfinished")
+                };
+                (i, report, rec, wall)
+            })
+            .collect::<Vec<_>>()
+    };
+    let finished: Vec<_> = if workers == 1 {
+        // A lone worker runs on the calling thread: no spawn, and its
+        // engines allocate where the caller does.
+        vec![work(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || work(w))).collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(f) => f,
+                    // lint: allow(panic) — a worker panic is a shard-engine bug;
+                    // propagate it instead of reporting a partial cluster
+                    Err(e) => std::panic::resume_unwind(e),
+                })
+                .collect()
+        })
+    };
+    let mut slots: Vec<Option<(SimReport, Option<RingRecorder>, f64)>> =
+        (0..n).map(|_| None).collect();
+    for (i, report, rec, wall) in finished.into_iter().flatten() {
+        // lint: allow(D6) — workers only own indices i < n
+        slots[i] = Some((report, rec, wall));
+    }
     slots
         .into_iter()
         .enumerate()
@@ -678,6 +504,16 @@ where
         .collect()
 }
 
+/// One shard as its owning worker drives it: the recorder waiting for the
+/// engine, the live engine, then the finished report.
+struct Lane<'r, P: Policy> {
+    shard: usize,
+    rec: Option<&'r mut RingRecorder>,
+    sim: Option<Simulator<'r, P>>,
+    report: Option<SimReport>,
+    wall: f64,
+}
+
 /// Replay the run's event streams to the observer in `(time, lane, seq)`
 /// order: lane 0 carries the dispatcher (shard-health transitions first,
 /// then routing verdicts, then replica routes and promotions, each in
@@ -687,15 +523,12 @@ where
 /// follower-side propagation deliveries ([`crate::ClusterLane`]). Pure
 /// function of the run inputs — worker count and finish order are
 /// invisible. O(E log E) in the total event count.
-#[allow(clippy::too_many_arguments)]
 fn replay_events(
     observer: &mut dyn Observer,
     trace: &Trace,
     recorders: Vec<Option<RingRecorder>>,
-    decisions: Option<&[RouteDecision]>,
+    decisions: &[RouteDecision],
     hooks: Option<&[ShardFaults]>,
-    plain_assignment: &[usize],
-    exec_trace: &Trace,
     replication: Option<&ReplicationReport>,
 ) {
     let mut all: Vec<(SimTime, u32, u64, ObsEvent)> = Vec::new();
@@ -731,40 +564,22 @@ fn replay_events(
         }
     }
 
-    // Routing verdicts: fault-aware decisions when present, otherwise the
-    // plain assignment (every query routed at its arrival, zero retries).
-    match decisions {
-        Some(decisions) => {
-            for (q, d) in trace.queries.iter().zip(decisions) {
-                let ev = match *d {
-                    RouteDecision::Routed { shard, at, retries } => ObsEvent::DispatcherRoute {
-                        time: at,
-                        query: q.id,
-                        shard: shard as u32,
-                        retries,
-                    },
-                    RouteDecision::Rejected { at, retries } => ObsEvent::DispatcherReject {
-                        time: at,
-                        query: q.id,
-                        retries,
-                    },
-                };
-                lane0(&mut all, ev);
-            }
-        }
-        None => {
-            for (q, &shard) in exec_trace.queries.iter().zip(plain_assignment) {
-                lane0(
-                    &mut all,
-                    ObsEvent::DispatcherRoute {
-                        time: q.arrival,
-                        query: q.id,
-                        shard: shard as u32,
-                        retries: 0,
-                    },
-                );
-            }
-        }
+    // Routing verdicts, in trace order.
+    for (q, d) in trace.queries.iter().zip(decisions) {
+        let ev = match *d {
+            RouteDecision::Routed { shard, at, retries } => ObsEvent::DispatcherRoute {
+                time: at,
+                query: q.id,
+                shard: shard as u32,
+                retries,
+            },
+            RouteDecision::Rejected { at, retries } => ObsEvent::DispatcherReject {
+                time: at,
+                query: q.id,
+                retries,
+            },
+        };
+        lane0(&mut all, ev);
     }
 
     // Replica-layer events: follower routes and promotions on the

@@ -10,44 +10,16 @@
 //! disciplines × every routing policy on the golden fig3-style workload
 //! at scale=8.
 
+mod common;
+
+use common::{golden_bundle, run_with, sim_config, unit_policy, DISCIPLINES};
 use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
 use unit_cluster::{ClusterConfig, RoutingPolicy};
-use unit_core::config::UnitConfig;
 use unit_core::policy::Policy;
 use unit_core::split_seed;
-use unit_core::time::SimDuration;
-use unit_core::unit_policy::UnitPolicy;
-use unit_core::usm::UsmWeights;
-use unit_sim::{report_digest, run_simulation, SchedulingDiscipline, SimConfig};
-use unit_workload::{
-    QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
-};
+use unit_sim::{report_digest, run_simulation};
 
-const SCALE: u64 = 8;
 const SEED: u64 = 0x5EED_0001;
-
-/// The golden workload at scale=8: fig3's med-unif bundle, mirroring
-/// `unit_bench::default_workload_plan(8)` (not imported — that would make
-/// the cluster tests depend on the bench crate).
-fn golden_bundle() -> TraceBundle {
-    let qcfg = QueryTraceConfig::default().scaled_down(SCALE);
-    let ucfg = UpdateTraceConfig::table1(UpdateVolume::Med, UpdateDistribution::Uniform)
-        .with_total((UpdateVolume::Med.total_updates() / SCALE).max(1));
-    TraceBundle::generate(&qcfg, &ucfg)
-}
-
-fn sim_config(horizon: SimDuration, discipline: SchedulingDiscipline) -> SimConfig {
-    SimConfig::new(horizon)
-        .with_weights(UsmWeights::low_high_cfm())
-        .with_tick_period(SimDuration::from_secs(10))
-        .with_discipline(discipline)
-}
-
-const DISCIPLINES: [(SchedulingDiscipline, &str); 3] = [
-    (SchedulingDiscipline::DualPriorityEdf, "dual"),
-    (SchedulingDiscipline::GlobalEdf, "global"),
-    (SchedulingDiscipline::QueryFirst, "qfirst"),
-];
 
 /// Run the differential for one policy constructor: for every discipline
 /// and every routing policy, digest(1-shard cluster shard 0) ==
@@ -57,17 +29,13 @@ fn differential<P: Policy + Send>(policy_name: &str, make: impl Fn(u64) -> P + S
     let bundle = golden_bundle();
     let mut failures = Vec::new();
     for (discipline, dname) in DISCIPLINES {
-        let cfg = sim_config(bundle.horizon, discipline);
+        let cfg = sim_config(bundle.horizon).with_discipline(discipline);
         let single = run_simulation(&bundle.trace, make(split_seed(SEED, 0)), cfg);
         let single_digest = report_digest(&single);
         for routing in RoutingPolicy::ALL {
             let cluster_cfg = ClusterConfig::new(1).with_routing(routing).with_seed(SEED);
-            let report = cluster_cfg
-                .build()
-                .run(&bundle.trace, cfg, |_, seed| make(seed))
-                .expect("valid cluster config")
-                .into_plain()
-                .expect("fault-free run");
+            let report = run_with(cluster_cfg.build(), &bundle, cfg, &make);
+            let report = report.into_plain().expect("fault-free run");
             let shard_digest = report_digest(&report.shard_reports[0]);
             if shard_digest != single_digest {
                 failures.push(format!(
@@ -112,9 +80,7 @@ fn one_shard_cluster_is_bit_identical_qmf() {
 
 #[test]
 fn one_shard_cluster_is_bit_identical_unit() {
-    differential("UNIT", |seed| {
-        UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(seed))
-    });
+    differential("UNIT", unit_policy);
 }
 
 #[test]
@@ -122,19 +88,11 @@ fn eight_shard_fig3_scale_run_completes() {
     // The ISSUE's acceptance smoke: an 8-shard fig3-scale cluster run
     // completes and accounts for every query, under each routing policy.
     let bundle = golden_bundle();
-    let cfg = sim_config(bundle.horizon, SchedulingDiscipline::DualPriorityEdf);
+    let cfg = sim_config(bundle.horizon);
     for routing in RoutingPolicy::ALL {
         let cluster_cfg = ClusterConfig::new(8).with_routing(routing).with_seed(SEED);
-        let report = cluster_cfg
-            .build()
-            .run(&bundle.trace, cfg, |_, seed| {
-                UnitPolicy::new(
-                    UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(seed),
-                )
-            })
-            .expect("valid cluster config")
-            .into_plain()
-            .expect("fault-free run");
+        let report = run_with(cluster_cfg.build(), &bundle, cfg, &unit_policy);
+        let report = report.into_plain().expect("fault-free run");
         assert_eq!(
             report.counts.total() as usize,
             bundle.trace.queries.len(),

@@ -1,66 +1,35 @@
-//! Differential suite for the epoch-parallel execution mode.
+//! Differential suite for epoch stepping.
 //!
-//! [`ExecutionMode::EpochParallel`] is documented as a pure wall-clock
-//! knob: shards share no mutable state and pausing an engine at a
-//! virtual-time boundary reorders nothing, so its output must be
-//! bit-identical to [`ExecutionMode::WholeShard`] — for any worker count,
-//! any epoch length, with faults installed, and with an observer watching.
-//! This suite pins each of those claims on the golden fig3-style workload,
-//! and re-pins the 1-shard ≡ single-server identity on the parallel path.
+//! The epoch ([`ClusterConfig::with_epoch`]) is documented as a pure
+//! wall-clock knob: shards share no mutable state and pausing an engine at
+//! a virtual-time boundary reorders nothing, so lockstep rounds of any
+//! length must be bit-identical to the default whole-run epoch — for any
+//! worker count, with faults installed, and with an observer watching.
+//! Both sides run the cluster's one shard loop, so
+//! `golden_cluster.rs` pins the digests themselves; this suite checks the
+//! pairs and re-pins the 1-shard ≡ single-server identity with epochs.
 
+mod common;
+
+use common::{
+    assert_reports_identical, crash_plan, golden_bundle, sim_config, unit_base, unit_policy,
+};
 use unit_cluster::{BackoffConfig, ClusterConfig, ClusterReport, FailoverPolicy, RoutingPolicy};
-use unit_core::config::UnitConfig;
 use unit_core::split_seed;
 use unit_core::time::SimDuration;
-use unit_core::unit_policy::UnitPolicy;
-use unit_core::usm::UsmWeights;
-use unit_faults::{FaultConfig, FaultMode, FaultPlan};
-use unit_obs::Observer;
-use unit_sim::{report_digest, run_simulation, SimConfig};
-use unit_workload::{
-    QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
-};
+use unit_obs::RingRecorder;
+use unit_sim::{report_digest, run_simulation};
+use unit_workload::TraceBundle;
 
-const SCALE: u64 = 8;
 const SEED: u64 = 0x5EED_0002;
-
-fn golden_bundle() -> TraceBundle {
-    let qcfg = QueryTraceConfig::default().scaled_down(SCALE);
-    let ucfg = UpdateTraceConfig::table1(UpdateVolume::Med, UpdateDistribution::Uniform)
-        .with_total((UpdateVolume::Med.total_updates() / SCALE).max(1));
-    TraceBundle::generate(&qcfg, &ucfg)
-}
-
-fn sim_config(horizon: SimDuration) -> SimConfig {
-    SimConfig::new(horizon)
-        .with_weights(UsmWeights::low_high_cfm())
-        .with_tick_period(SimDuration::from_secs(10))
-}
-
-fn unit_cfg() -> UnitConfig {
-    UnitConfig::with_weights(UsmWeights::low_high_cfm())
-}
 
 fn run_mode(bundle: &TraceBundle, cluster: ClusterConfig) -> ClusterReport {
     cluster
         .build()
-        .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_cfg())
+        .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_base())
         .expect("valid cluster config")
         .into_plain()
         .expect("fault-free run")
-}
-
-fn assert_reports_identical(a: &ClusterReport, b: &ClusterReport, what: &str) {
-    assert_eq!(a.assignment, b.assignment, "{what}: assignment diverged");
-    assert_eq!(a.counts, b.counts, "{what}: outcome tally diverged");
-    assert_eq!(a.log, b.log, "{what}: merged log diverged");
-    for (s, (ra, rb)) in a.shard_reports.iter().zip(&b.shard_reports).enumerate() {
-        assert_eq!(
-            report_digest(ra),
-            report_digest(rb),
-            "{what}: shard {s} digest diverged"
-        );
-    }
 }
 
 #[test]
@@ -99,11 +68,7 @@ fn epoch_parallel_is_bit_identical_to_whole_shard() {
 fn one_shard_epoch_parallel_matches_single_server() {
     let bundle = golden_bundle();
     let cfg = sim_config(bundle.horizon);
-    let single = run_simulation(
-        &bundle.trace,
-        UnitPolicy::new(unit_cfg().with_seed(split_seed(SEED, 0))),
-        cfg,
-    );
+    let single = run_simulation(&bundle.trace, unit_policy(split_seed(SEED, 0)), cfg);
     let report = run_mode(
         &bundle,
         ClusterConfig::new(1)
@@ -120,19 +85,14 @@ fn one_shard_epoch_parallel_matches_single_server() {
 #[test]
 fn epoch_parallel_with_faults_matches_whole_shard() {
     let bundle = golden_bundle();
-    let fault_cfg = FaultConfig::quiet(bundle.horizon, bundle.trace.n_items).with_crashes(
-        0.2,
-        SimDuration::from_secs(2_000),
-        FaultMode::Pause,
-    );
-    let plan = FaultPlan::generate(0xFA_17, 4, &fault_cfg);
+    let plan = crash_plan(bundle.horizon, bundle.trace.n_items, 4, 0.2, 2_000);
     let failover = FailoverPolicy::Backoff(BackoffConfig::default());
     let base = ClusterConfig::new(4).with_seed(SEED);
     let run_with = |cluster: ClusterConfig| {
         cluster
             .build()
             .with_faults(&plan, failover)
-            .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_cfg())
+            .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_base())
             .expect("valid cluster config")
             .into_faulty()
             .expect("faults installed")
@@ -155,31 +115,25 @@ fn epoch_parallel_with_faults_matches_whole_shard() {
 
 #[test]
 fn epoch_parallel_observation_is_neutral_and_identical() {
-    struct Collect(Vec<unit_obs::ObsEvent>);
-    impl Observer for Collect {
-        fn on_event(&mut self, event: &unit_obs::ObsEvent) {
-            self.0.push(event.clone());
-        }
-    }
     let bundle = golden_bundle();
     let base = ClusterConfig::new(4).with_seed(SEED);
     let observed_run = |cluster: ClusterConfig| {
-        let mut sink = Collect(Vec::new());
+        let mut sink = RingRecorder::unbounded();
         let report = cluster
             .build()
             .with_observer(&mut sink)
-            .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_cfg())
+            .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_base())
             .expect("valid cluster config")
             .into_plain()
             .expect("fault-free run");
-        (report, sink.0)
+        (report, sink.into_events())
     };
     let (whole, whole_events) = observed_run(base);
     let (epoch, epoch_events) = observed_run(base.with_epoch(SimDuration::from_secs(100)));
     assert_reports_identical(&whole, &epoch, "observed");
     assert_eq!(
         whole_events, epoch_events,
-        "replayed observation streams diverged between execution modes"
+        "replayed observation streams diverged between epochs"
     );
     // Observation stays passive on the parallel path too.
     let bare = run_mode(&bundle, base.with_epoch(SimDuration::from_secs(100)));

@@ -1,52 +1,25 @@
 //! Fault differential suite: the empty fault schedule is provably inert.
 //!
-//! A [`unit_cluster::ClusterRun`] with a [`FaultPlan::quiet`] plan
-//! installs a fault hook on every shard and routes through the fault-aware
-//! dispatcher — yet must produce **digest-bit-identical** shard reports,
-//! the same assignment, the same merged log and the same tallies as the
-//! plain fault-free run, for all 4 policies × 3 scheduling
+//! A fault-free [`unit_cluster::ClusterRun`] is the quiet-plan case of the
+//! one dispatcher, so a run with a [`FaultPlan::quiet`] plan installed —
+//! which routes by the plan's (all-up) health and merges into empty shard
+//! schedules, installing no hook — must produce **digest-bit-identical**
+//! shard reports, the same assignment, the same merged log and the same
+//! tallies as the plain run, for all 4 policies × 3 scheduling
 //! disciplines × 3 routing policies on the golden fig3-style workload at
-//! scale=8, under either failover policy and any worker count. This is the
-//! contract that lets the fault machinery ship inside the main cluster
-//! path without perturbing a single golden digest.
+//! scale=8, under either failover policy and any worker count.
+//! `golden_cluster.rs` pins both sides.
 
+mod common;
+
+use common::{assert_reports_identical, golden_bundle, matrix, run_with, unit_policy};
 use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
-use unit_cluster::{BackoffConfig, ClusterConfig, FailoverPolicy, RoutingPolicy};
-use unit_core::config::UnitConfig;
+use unit_cluster::{BackoffConfig, FailoverPolicy};
 use unit_core::policy::Policy;
-use unit_core::time::SimDuration;
-use unit_core::unit_policy::UnitPolicy;
-use unit_core::usm::UsmWeights;
 use unit_faults::FaultPlan;
-use unit_sim::{report_digest, SchedulingDiscipline, SimConfig};
-use unit_workload::{
-    QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
-};
 
-const SCALE: u64 = 8;
 const SEED: u64 = 0x5EED_0001;
 const N_SHARDS: usize = 2;
-
-/// The golden workload at scale=8 (same bundle as `differential.rs`).
-fn golden_bundle() -> TraceBundle {
-    let qcfg = QueryTraceConfig::default().scaled_down(SCALE);
-    let ucfg = UpdateTraceConfig::table1(UpdateVolume::Med, UpdateDistribution::Uniform)
-        .with_total((UpdateVolume::Med.total_updates() / SCALE).max(1));
-    TraceBundle::generate(&qcfg, &ucfg)
-}
-
-fn sim_config(horizon: SimDuration, discipline: SchedulingDiscipline) -> SimConfig {
-    SimConfig::new(horizon)
-        .with_weights(UsmWeights::low_high_cfm())
-        .with_tick_period(SimDuration::from_secs(10))
-        .with_discipline(discipline)
-}
-
-const DISCIPLINES: [(SchedulingDiscipline, &str); 3] = [
-    (SchedulingDiscipline::DualPriorityEdf, "dual"),
-    (SchedulingDiscipline::GlobalEdf, "global"),
-    (SchedulingDiscipline::QueryFirst, "qfirst"),
-];
 
 /// For every discipline × routing: quiet-plan fault cluster ==
 /// plain cluster, shard digest for shard digest.
@@ -58,56 +31,21 @@ fn quiet_differential<P: Policy + Send>(
 ) {
     let bundle = golden_bundle();
     let plan = FaultPlan::quiet(N_SHARDS);
-    let mut failures = Vec::new();
-    for (discipline, dname) in DISCIPLINES {
-        let cfg = sim_config(bundle.horizon, discipline);
-        for routing in RoutingPolicy::ALL {
-            let cluster_cfg = ClusterConfig::new(N_SHARDS)
-                .with_routing(routing)
-                .with_seed(SEED)
-                .with_workers(workers);
-            let plain = cluster_cfg
-                .build()
-                .run(&bundle.trace, cfg, |_, seed| make(seed))
-                .expect("valid cluster config")
-                .into_plain()
-                .expect("fault-free run");
-            let faulty = cluster_cfg
-                .build()
-                .with_faults(&plan, *failover)
-                .run(&bundle.trace, cfg, |_, seed| make(seed))
-                .expect("valid fault cluster config")
-                .into_faulty()
-                .expect("fault run");
-            for shard in 0..N_SHARDS {
-                let p = report_digest(&plain.shard_reports[shard]);
-                let f = report_digest(&faulty.cluster.shard_reports[shard]);
-                if p != f {
-                    failures.push(format!(
-                        "{policy_name}/{dname}/{}/shard{shard}: quiet-plan digest \
-                         {f:#018x} != plain {p:#018x}",
-                        routing.name()
-                    ));
-                }
-            }
-            assert_eq!(faulty.cluster.assignment, plain.assignment);
-            assert_eq!(faulty.cluster.log, plain.log);
-            assert_eq!(faulty.counts, plain.counts);
-            assert_eq!(faulty.dispatcher_rejections(), 0);
-            assert_eq!(faulty.total_retries(), 0);
-            assert_eq!(
-                faulty.average_usm().to_bits(),
-                plain.average_usm().to_bits(),
-                "{policy_name}/{dname}/{}: USM diverged under the quiet plan",
-                routing.name()
-            );
-        }
+    for (label, sim, cluster) in matrix(bundle.horizon, N_SHARDS, SEED) {
+        let cluster = cluster.with_workers(workers);
+        let plain = run_with(cluster.build(), &bundle, sim, &make).into_plain();
+        let plain = plain.expect("fault-free run");
+        let faulty = cluster.build().with_faults(&plan, *failover);
+        let faulty = run_with(faulty, &bundle, sim, &make).into_faulty();
+        let faulty = faulty.expect("fault run");
+        let what = format!("{policy_name}/{label}: quiet plan");
+        assert_reports_identical(&faulty.cluster, &plain, &what);
+        assert_eq!(faulty.counts, plain.counts, "{what}");
+        assert_eq!(faulty.dispatcher_rejections(), 0, "{what}");
+        assert_eq!(faulty.total_retries(), 0, "{what}");
+        let usm = (faulty.average_usm(), plain.average_usm());
+        assert_eq!(usm.0.to_bits(), usm.1.to_bits(), "{what}: USM diverged");
     }
-    assert!(
-        failures.is_empty(),
-        "the empty fault schedule was not inert:\n{}",
-        failures.join("\n")
-    );
 }
 
 #[test]
@@ -146,9 +84,7 @@ fn quiet_plan_is_inert_unit() {
         "UNIT",
         &FailoverPolicy::Backoff(BackoffConfig::default()),
         0,
-        |seed| {
-            UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(seed))
-        },
+        unit_policy,
     );
 }
 
@@ -156,7 +92,5 @@ fn quiet_plan_is_inert_unit() {
 fn quiet_plan_is_inert_for_no_retry_and_one_worker() {
     // The other axis of "any worker count, either failover policy": the
     // naive dispatcher on a single worker thread must be just as inert.
-    quiet_differential("UNIT", &FailoverPolicy::NoRetry, 1, |seed| {
-        UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(seed))
-    });
+    quiet_differential("UNIT", &FailoverPolicy::NoRetry, 1, unit_policy);
 }

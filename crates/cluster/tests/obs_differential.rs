@@ -10,51 +10,27 @@
 //! bit for bit — and the recorded stream itself is a pure function of the
 //! run inputs (worker count invisible).
 
+mod common;
+
+use common::{
+    assert_reports_identical, crash_plan, golden_bundle, sim_config, unit_base, unit_policy,
+    DISCIPLINES,
+};
 use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
 use unit_cluster::{BackoffConfig, ClusterConfig, FailoverPolicy, RoutingPolicy};
-use unit_core::config::UnitConfig;
 use unit_core::policy::Policy;
 use unit_core::split_seed;
-use unit_core::time::SimDuration;
-use unit_core::unit_policy::UnitPolicy;
-use unit_core::usm::UsmWeights;
-use unit_faults::{FaultConfig, FaultMode, FaultPlan};
 use unit_obs::{ObsEvent, RingRecorder};
-use unit_sim::{report_digest, SchedulingDiscipline, SimConfig, SimRun, Simulator};
-use unit_workload::{
-    QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
-};
+use unit_sim::{report_digest, SimRun, Simulator};
 
-const SCALE: u64 = 8;
 const SEED: u64 = 0x5EED_0001;
-
-/// The golden workload at scale=8 (same bundle as `differential.rs`).
-fn golden_bundle() -> TraceBundle {
-    let qcfg = QueryTraceConfig::default().scaled_down(SCALE);
-    let ucfg = UpdateTraceConfig::table1(UpdateVolume::Med, UpdateDistribution::Uniform)
-        .with_total((UpdateVolume::Med.total_updates() / SCALE).max(1));
-    TraceBundle::generate(&qcfg, &ucfg)
-}
-
-fn sim_config(horizon: SimDuration, discipline: SchedulingDiscipline) -> SimConfig {
-    SimConfig::new(horizon)
-        .with_weights(UsmWeights::low_high_cfm())
-        .with_tick_period(SimDuration::from_secs(10))
-        .with_discipline(discipline)
-}
-
-const DISCIPLINES: [(SchedulingDiscipline, &str); 3] = [
-    (SchedulingDiscipline::DualPriorityEdf, "dual"),
-    (SchedulingDiscipline::GlobalEdf, "global"),
-    (SchedulingDiscipline::QueryFirst, "qfirst"),
-];
 
 /// Single server: digest(with recorder) == digest(without), and the
 /// recorder actually saw the run.
 fn single_server_neutrality<P: Policy>(policy_name: &str, make: impl Fn(u64) -> P) {
     let bundle = golden_bundle();
     for (discipline, dname) in DISCIPLINES {
-        let cfg = sim_config(bundle.horizon, discipline);
+        let cfg = sim_config(bundle.horizon).with_discipline(discipline);
         let seed = split_seed(SEED, 0);
         let quiet = Simulator::new(&bundle.trace, make(seed), cfg).run();
         let mut rec = RingRecorder::unbounded();
@@ -114,9 +90,7 @@ fn single_server_recorder_is_digest_neutral_qmf() {
 
 #[test]
 fn single_server_recorder_is_digest_neutral_unit() {
-    single_server_neutrality("UNIT", |seed| {
-        UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(seed))
-    });
+    single_server_neutrality("UNIT", unit_policy);
 }
 
 /// Cluster, fault-free: digest-neutral per shard, merged history
@@ -124,29 +98,17 @@ fn single_server_recorder_is_digest_neutral_unit() {
 #[test]
 fn cluster_recorder_is_digest_neutral_and_worker_invariant() {
     let bundle = golden_bundle();
-    let cfg = sim_config(bundle.horizon, SchedulingDiscipline::DualPriorityEdf);
-    let base = UnitConfig::with_weights(UsmWeights::low_high_cfm());
+    let cfg = sim_config(bundle.horizon);
+    let base = unit_base();
     for routing in RoutingPolicy::ALL {
         let cluster = ClusterConfig::new(3).with_routing(routing).with_seed(SEED);
-        let quiet = cluster
-            .build()
-            .run_unit(&bundle.trace, cfg, &base)
-            .unwrap()
-            .into_plain()
-            .unwrap();
+        let quiet = cluster.build().run_unit(&bundle.trace, cfg, &base);
+        let quiet = quiet.unwrap().into_plain().unwrap();
         let mut rec = RingRecorder::unbounded();
-        let observed = cluster
-            .build()
-            .with_observer(&mut rec)
-            .run_unit(&bundle.trace, cfg, &base)
-            .unwrap()
-            .into_plain()
-            .unwrap();
-        assert_eq!(quiet.log, observed.log, "{}", routing.name());
-        assert_eq!(quiet.counts, observed.counts);
-        for (q, o) in quiet.shard_reports.iter().zip(&observed.shard_reports) {
-            assert_eq!(report_digest(q), report_digest(o), "{}", routing.name());
-        }
+        let observed = cluster.build().with_observer(&mut rec);
+        let observed = observed.run_unit(&bundle.trace, cfg, &base);
+        let observed = observed.unwrap().into_plain().unwrap();
+        assert_reports_identical(&quiet, &observed, routing.name());
         // Every query got a dispatcher route, and shard events are tagged.
         let routes = rec
             .events()
@@ -175,45 +137,25 @@ fn cluster_recorder_is_digest_neutral_and_worker_invariant() {
 #[test]
 fn fault_cluster_recorder_is_digest_neutral() {
     let bundle = golden_bundle();
-    let cfg = sim_config(bundle.horizon, SchedulingDiscipline::DualPriorityEdf);
-    let base = UnitConfig::with_weights(UsmWeights::low_high_cfm());
-    let fcfg = FaultConfig::quiet(bundle.horizon, 100).with_crashes(
-        0.25,
-        SimDuration::from_secs(60),
-        FaultMode::Pause,
-    );
-    let plan = FaultPlan::generate(0xFA_17, 3, &fcfg);
+    let cfg = sim_config(bundle.horizon);
+    let base = unit_base();
+    let plan = crash_plan(bundle.horizon, 100, 3, 0.25, 60);
     assert!(!plan.is_empty());
     let failover = FailoverPolicy::Backoff(BackoffConfig::default());
     let cluster = ClusterConfig::new(3).with_seed(SEED);
 
-    let quiet = cluster
-        .build()
-        .with_faults(&plan, failover)
-        .run_unit(&bundle.trace, cfg, &base)
-        .unwrap()
-        .into_faulty()
-        .unwrap();
+    let quiet = cluster.build().with_faults(&plan, failover);
+    let quiet = quiet.run_unit(&bundle.trace, cfg, &base);
+    let quiet = quiet.unwrap().into_faulty().unwrap();
     let mut rec = RingRecorder::unbounded();
-    let observed = cluster
-        .build()
-        .with_faults(&plan, failover)
-        .with_observer(&mut rec)
-        .run_unit(&bundle.trace, cfg, &base)
-        .unwrap()
-        .into_faulty()
-        .unwrap();
+    let observed = cluster.build().with_faults(&plan, failover);
+    let observed = observed.with_observer(&mut rec);
+    let observed = observed.run_unit(&bundle.trace, cfg, &base);
+    let observed = observed.unwrap().into_faulty().unwrap();
     assert_eq!(quiet.decisions, observed.decisions);
     assert_eq!(quiet.log, observed.log);
     assert_eq!(quiet.counts, observed.counts);
-    for (q, o) in quiet
-        .cluster
-        .shard_reports
-        .iter()
-        .zip(&observed.cluster.shard_reports)
-    {
-        assert_eq!(report_digest(q), report_digest(o));
-    }
+    assert_reports_identical(&quiet.cluster, &observed.cluster, "under faults");
     // The plan generated crash windows, so transitions must be visible.
     assert!(rec
         .events()

@@ -12,40 +12,20 @@
 //! modes (whole-shard and epoch-parallel), and the per-shard obs streams
 //! are checked for the checkpoint → restore → replay event arc.
 
+mod common;
+
+use common::{assert_reports_identical, golden_bundle, sim_config, unit_base};
 use unit_cluster::{
     check_health_consistency, BackoffConfig, ClusterConfig, ClusterReport, FailoverPolicy,
     FaultClusterReport, RouteDecision,
 };
-use unit_core::config::UnitConfig;
 use unit_core::time::{SimDuration, SimTime};
-use unit_core::usm::UsmWeights;
 use unit_faults::{CrashWindow, FaultMode, FaultPlan, FaultSchedule};
 use unit_obs::{ObsEvent, Observer, RingRecorder};
-use unit_sim::{report_digest, SimConfig};
-use unit_workload::{
-    QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
-};
+use unit_workload::TraceBundle;
 
-const SCALE: u64 = 8;
 const SEED: u64 = 0x5EED_0003;
 const N_SHARDS: usize = 4;
-
-fn golden_bundle() -> TraceBundle {
-    let qcfg = QueryTraceConfig::default().scaled_down(SCALE);
-    let ucfg = UpdateTraceConfig::table1(UpdateVolume::Med, UpdateDistribution::Uniform)
-        .with_total((UpdateVolume::Med.total_updates() / SCALE).max(1));
-    TraceBundle::generate(&qcfg, &ucfg)
-}
-
-fn sim_config(horizon: SimDuration) -> SimConfig {
-    SimConfig::new(horizon)
-        .with_weights(UsmWeights::low_high_cfm())
-        .with_tick_period(SimDuration::from_secs(10))
-}
-
-fn unit_cfg() -> UnitConfig {
-    UnitConfig::with_weights(UsmWeights::low_high_cfm())
-}
 
 fn crash_window(at: SimTime) -> CrashWindow {
     CrashWindow {
@@ -84,7 +64,7 @@ fn base_cluster() -> ClusterConfig {
 fn run_plain(bundle: &TraceBundle, cluster: ClusterConfig) -> ClusterReport {
     cluster
         .build()
-        .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_cfg())
+        .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_base())
         .expect("valid cluster config")
         .into_plain()
         .expect("fault-free run")
@@ -98,32 +78,22 @@ fn run_crashed(
     cluster
         .build()
         .with_faults(plan, FailoverPolicy::Backoff(BackoffConfig::default()))
-        .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_cfg())
+        .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_base())
         .expect("valid cluster config")
         .into_faulty()
         .expect("fault plan installed")
 }
 
 fn assert_recovery_invisible(plain: &ClusterReport, crashed: &FaultClusterReport, what: &str) {
-    let c = &crashed.cluster;
-    assert_eq!(
-        plain.assignment, c.assignment,
-        "{what}: assignment diverged"
-    );
-    assert_eq!(plain.counts, c.counts, "{what}: outcome tally diverged");
-    assert_eq!(plain.log, c.log, "{what}: merged log diverged");
+    assert_reports_identical(plain, &crashed.cluster, what);
     assert_eq!(
         plain.counts, crashed.counts,
         "{what}: dispatcher folded in rejections for healthy shards"
     );
-    for (s, (rp, rc)) in plain.shard_reports.iter().zip(&c.shard_reports).enumerate() {
+    for (s, r) in crashed.cluster.shard_reports.iter().enumerate() {
+        let recoveries = (r.faults.recoveries, EXPECTED_RECOVERIES[s]);
         assert_eq!(
-            report_digest(rp),
-            report_digest(rc),
-            "{what}: shard {s} diverged from its uncrashed twin"
-        );
-        assert_eq!(
-            rc.faults.recoveries, EXPECTED_RECOVERIES[s],
+            recoveries.0, recoveries.1,
             "{what}: shard {s} recovery count"
         );
     }
@@ -186,7 +156,7 @@ fn crashed_shards_emit_the_checkpoint_event_arc() {
         .build()
         .with_faults(&plan, FailoverPolicy::Backoff(BackoffConfig::default()))
         .with_observer(&mut rec)
-        .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_cfg())
+        .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_base())
         .expect("valid cluster config")
         .into_faulty()
         .expect("fault plan installed");
@@ -266,7 +236,7 @@ fn crashed_cluster_replay_stream_is_time_ordered_per_merge_key() {
         .build()
         .with_faults(&plan, FailoverPolicy::Backoff(BackoffConfig::default()))
         .with_observer(&mut check)
-        .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_cfg())
+        .run_unit(&bundle.trace, sim_config(bundle.horizon), &unit_base())
         .expect("valid cluster config");
     assert_eq!(
         check.rewinds, 0,

@@ -13,46 +13,21 @@
 //! that lets the replication layer ship inside the main cluster path
 //! without perturbing a single golden digest.
 
+mod common;
+
+use common::{
+    assert_reports_identical, crash_plan, golden_bundle, matrix, run_with, sim_config, unit_policy,
+};
 use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
 use unit_cluster::{
     BackoffConfig, ClusterConfig, FailoverPolicy, PropagationLag, ReplicaPlacement,
     ReplicationConfig, RoutingPolicy,
 };
-use unit_core::config::UnitConfig;
 use unit_core::policy::Policy;
 use unit_core::time::SimDuration;
-use unit_core::unit_policy::UnitPolicy;
-use unit_core::usm::UsmWeights;
-use unit_faults::{FaultConfig, FaultMode, FaultPlan};
-use unit_sim::{report_digest, SchedulingDiscipline, SimConfig};
-use unit_workload::{
-    QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
-};
 
-const SCALE: u64 = 8;
 const SEED: u64 = 0x5EED_0001;
 const N_SHARDS: usize = 2;
-
-/// The golden workload at scale=8 (same bundle as `differential.rs`).
-fn golden_bundle() -> TraceBundle {
-    let qcfg = QueryTraceConfig::default().scaled_down(SCALE);
-    let ucfg = UpdateTraceConfig::table1(UpdateVolume::Med, UpdateDistribution::Uniform)
-        .with_total((UpdateVolume::Med.total_updates() / SCALE).max(1));
-    TraceBundle::generate(&qcfg, &ucfg)
-}
-
-fn sim_config(horizon: SimDuration, discipline: SchedulingDiscipline) -> SimConfig {
-    SimConfig::new(horizon)
-        .with_weights(UsmWeights::low_high_cfm())
-        .with_tick_period(SimDuration::from_secs(10))
-        .with_discipline(discipline)
-}
-
-const DISCIPLINES: [(SchedulingDiscipline, &str); 3] = [
-    (SchedulingDiscipline::DualPriorityEdf, "dual"),
-    (SchedulingDiscipline::GlobalEdf, "global"),
-    (SchedulingDiscipline::QueryFirst, "qfirst"),
-];
 
 /// Factor-1 configs that must all be inert: the bare default, and one
 /// with a jittered lag schedule (no follower slots exist to delay, so the
@@ -75,67 +50,30 @@ fn inert_replications() -> [ReplicationConfig; 2] {
 /// artifacts and the (empty) replication report.
 fn factor_one_differential<P: Policy + Send>(policy_name: &str, make: impl Fn(u64) -> P + Sync) {
     let bundle = golden_bundle();
-    let mut failures = Vec::new();
-    for (discipline, dname) in DISCIPLINES {
-        let cfg = sim_config(bundle.horizon, discipline);
-        for routing in RoutingPolicy::ALL {
-            let cluster_cfg = ClusterConfig::new(N_SHARDS)
-                .with_routing(routing)
-                .with_seed(SEED);
-            let plain = cluster_cfg
-                .build()
-                .run(&bundle.trace, cfg, |_, seed| make(seed))
-                .expect("valid cluster config")
-                .into_plain()
-                .expect("fault-free run");
-            for rep in inert_replications() {
-                for workers in [0usize, 1] {
-                    let replicated = cluster_cfg
-                        .with_workers(workers)
-                        .build()
-                        .with_replication(rep)
-                        .run(&bundle.trace, cfg, |_, seed| make(seed))
-                        .expect("valid replicated config")
-                        .into_plain()
-                        .expect("fault-free run");
-                    for shard in 0..N_SHARDS {
-                        let p = report_digest(&plain.shard_reports[shard]);
-                        let r = report_digest(&replicated.shard_reports[shard]);
-                        if p != r {
-                            failures.push(format!(
-                                "{policy_name}/{dname}/{}/w{workers}/shard{shard}: \
-                                 factor-1 digest {r:#018x} != plain {p:#018x}",
-                                routing.name()
-                            ));
-                        }
-                    }
-                    assert_eq!(replicated.assignment, plain.assignment);
-                    assert_eq!(replicated.log, plain.log);
-                    assert_eq!(replicated.counts, plain.counts);
-                    assert_eq!(
-                        replicated.average_usm().to_bits(),
-                        plain.average_usm().to_bits(),
-                        "{policy_name}/{dname}/{}: USM diverged at factor 1",
-                        routing.name()
-                    );
-                    // The replica layer ran — it reports — but saw nothing.
-                    let rep_report = replicated
-                        .replication
-                        .as_ref()
-                        .expect("replicated run carries a replication report");
-                    assert_eq!(rep_report.factor, 1);
-                    assert!(rep_report.propagation.is_empty());
-                    assert!(rep_report.routes.is_empty());
-                    assert!(rep_report.promotions.is_empty());
-                }
+    for (label, sim, cluster) in matrix(bundle.horizon, N_SHARDS, SEED) {
+        let plain = run_with(cluster.build(), &bundle, sim, &make).into_plain();
+        let plain = plain.expect("fault-free run");
+        for rep in inert_replications() {
+            for workers in [0usize, 1] {
+                let cfg = cluster.with_workers(workers).with_replication(rep);
+                let replicated = run_with(cfg.build(), &bundle, sim, &make).into_plain();
+                let replicated = replicated.expect("fault-free run");
+                let what = format!("{policy_name}/{label}/w{workers}: factor 1");
+                assert_reports_identical(&replicated, &plain, &what);
+                let usm = (replicated.average_usm(), plain.average_usm());
+                assert_eq!(usm.0.to_bits(), usm.1.to_bits(), "{what}: USM diverged");
+                // The replica layer ran — it reports — but saw nothing.
+                let rep_report = replicated
+                    .replication
+                    .as_ref()
+                    .expect("replicated run carries a replication report");
+                assert_eq!(rep_report.factor, 1);
+                assert!(rep_report.propagation.is_empty());
+                assert!(rep_report.routes.is_empty());
+                assert!(rep_report.promotions.is_empty());
             }
         }
     }
-    assert!(
-        failures.is_empty(),
-        "factor-1 replication diverged from the plain cluster:\n{}",
-        failures.join("\n")
-    );
 }
 
 #[test]
@@ -155,13 +93,7 @@ fn factor_one_is_bit_identical_qmf() {
 
 #[test]
 fn factor_one_is_bit_identical_unit() {
-    factor_one_differential("UNIT", |seed| {
-        UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(seed))
-    });
-}
-
-fn unit_policy(seed: u64) -> UnitPolicy {
-    UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(seed))
+    factor_one_differential("UNIT", unit_policy);
 }
 
 #[test]
@@ -170,13 +102,8 @@ fn factor_one_is_bit_identical_under_faults() {
     // pause shards, and factor-1 replication must not move a single
     // verdict or outcome relative to the non-replicated fault path.
     let bundle = golden_bundle();
-    let cfg = sim_config(bundle.horizon, SchedulingDiscipline::DualPriorityEdf);
-    let fcfg = FaultConfig::quiet(bundle.horizon, bundle.trace.n_items).with_crashes(
-        0.2,
-        SimDuration::from_secs(400),
-        FaultMode::Pause,
-    );
-    let plan = FaultPlan::generate(0xFA_17, N_SHARDS, &fcfg);
+    let cfg = sim_config(bundle.horizon);
+    let plan = crash_plan(bundle.horizon, bundle.trace.n_items, N_SHARDS, 0.2, 400);
     assert!(
         !plan.is_empty(),
         "the fault plan must actually crash shards"
@@ -186,35 +113,21 @@ fn factor_one_is_bit_identical_under_faults() {
         let cluster_cfg = ClusterConfig::new(N_SHARDS)
             .with_routing(routing)
             .with_seed(SEED);
-        let plain = cluster_cfg
-            .build()
-            .with_faults(&plan, failover)
-            .run(&bundle.trace, cfg, |_, seed| unit_policy(seed))
-            .expect("valid fault config")
-            .into_faulty()
-            .expect("fault run");
+        let plain = cluster_cfg.build().with_faults(&plan, failover);
+        let plain = run_with(plain, &bundle, cfg, &unit_policy).into_faulty();
+        let plain = plain.expect("fault run");
         for workers in [0usize, 1] {
             let replicated = cluster_cfg
                 .with_workers(workers)
-                .build()
-                .with_faults(&plan, failover)
                 .with_replication(ReplicationConfig::new(1))
-                .run(&bundle.trace, cfg, |_, seed| unit_policy(seed))
-                .expect("valid replicated fault config")
-                .into_faulty()
-                .expect("fault run");
-            for shard in 0..N_SHARDS {
-                assert_eq!(
-                    report_digest(&replicated.cluster.shard_reports[shard]),
-                    report_digest(&plain.cluster.shard_reports[shard]),
-                    "{}/w{workers}/shard{shard}",
-                    routing.name()
-                );
-            }
-            assert_eq!(replicated.decisions, plain.decisions);
-            assert_eq!(replicated.cluster.assignment, plain.cluster.assignment);
-            assert_eq!(replicated.cluster.log, plain.cluster.log);
-            assert_eq!(replicated.counts, plain.counts);
+                .build()
+                .with_faults(&plan, failover);
+            let replicated = run_with(replicated, &bundle, cfg, &unit_policy).into_faulty();
+            let replicated = replicated.expect("fault run");
+            let what = format!("{}/w{workers}", routing.name());
+            assert_reports_identical(&replicated.cluster, &plain.cluster, &what);
+            assert_eq!(replicated.decisions, plain.decisions, "{what}");
+            assert_eq!(replicated.counts, plain.counts, "{what}");
             let rep_report = replicated
                 .cluster
                 .replication
@@ -231,36 +144,22 @@ fn factor_one_is_bit_identical_in_epoch_mode() {
     // Epoch-parallel stepping with replication installed: still the plain
     // whole-shard digests, for two epoch sizes and two worker counts.
     let bundle = golden_bundle();
-    let cfg = sim_config(bundle.horizon, SchedulingDiscipline::DualPriorityEdf);
+    let cfg = sim_config(bundle.horizon);
     let base = ClusterConfig::new(N_SHARDS)
         .with_routing(RoutingPolicy::FreshnessAware)
         .with_seed(SEED);
-    let plain = base
-        .build()
-        .run(&bundle.trace, cfg, |_, seed| unit_policy(seed))
-        .expect("valid cluster config")
-        .into_plain()
-        .expect("fault-free run");
+    let plain = run_with(base.build(), &bundle, cfg, &unit_policy).into_plain();
+    let plain = plain.expect("fault-free run");
     for epoch_secs in [97u64, 1_000] {
         for workers in [0usize, 2] {
             let replicated = base
                 .with_epoch(SimDuration::from_secs(epoch_secs))
                 .with_workers(workers)
-                .build()
-                .with_replication(ReplicationConfig::new(1))
-                .run(&bundle.trace, cfg, |_, seed| unit_policy(seed))
-                .expect("valid replicated config")
-                .into_plain()
-                .expect("fault-free run");
-            for shard in 0..N_SHARDS {
-                assert_eq!(
-                    report_digest(&replicated.shard_reports[shard]),
-                    report_digest(&plain.shard_reports[shard]),
-                    "epoch={epoch_secs}s w={workers} shard{shard}"
-                );
-            }
-            assert_eq!(replicated.log, plain.log);
-            assert_eq!(replicated.counts, plain.counts);
+                .with_replication(ReplicationConfig::new(1));
+            let replicated = run_with(replicated.build(), &bundle, cfg, &unit_policy).into_plain();
+            let replicated = replicated.expect("fault-free run");
+            let what = format!("epoch={epoch_secs}s w={workers}");
+            assert_reports_identical(&replicated, &plain, &what);
         }
     }
 }
@@ -271,22 +170,19 @@ fn replicated_cluster_conserves_queries_and_propagates() {
     // is the point), but every query is still decided exactly once, the
     // merged identity holds, and the propagation log is non-trivial.
     let bundle = golden_bundle();
-    let cfg = sim_config(bundle.horizon, SchedulingDiscipline::DualPriorityEdf);
+    let cfg = sim_config(bundle.horizon);
+    let rep = ReplicationConfig::new(2).with_lag(PropagationLag::jittered(
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(120),
+        4,
+    ));
     for routing in RoutingPolicy::ALL {
-        let rep = ReplicationConfig::new(2).with_lag(PropagationLag::jittered(
-            SimDuration::from_secs(60),
-            SimDuration::from_secs(120),
-            4,
-        ));
-        let report = ClusterConfig::new(4)
+        let cluster = ClusterConfig::new(4)
             .with_routing(routing)
             .with_seed(SEED)
-            .with_replication(rep)
-            .build()
-            .run(&bundle.trace, cfg, |_, seed| unit_policy(seed))
-            .expect("valid replicated config")
-            .into_plain()
-            .expect("fault-free run");
+            .with_replication(rep);
+        let report = run_with(cluster.build(), &bundle, cfg, &unit_policy).into_plain();
+        let report = report.expect("fault-free run");
         assert_eq!(
             report.counts.total() as usize,
             bundle.trace.queries.len(),
@@ -302,20 +198,9 @@ fn replicated_cluster_conserves_queries_and_propagates() {
             routing.name()
         );
         // Bit-reproducible for any worker count, replication included.
-        let again = ClusterConfig::new(4)
-            .with_routing(routing)
-            .with_seed(SEED)
-            .with_replication(ReplicationConfig::new(2).with_lag(PropagationLag::jittered(
-                SimDuration::from_secs(60),
-                SimDuration::from_secs(120),
-                4,
-            )))
-            .with_workers(1)
-            .build()
-            .run(&bundle.trace, cfg, |_, seed| unit_policy(seed))
-            .expect("valid replicated config")
-            .into_plain()
-            .expect("fault-free run");
+        let again = cluster.with_workers(1).build();
+        let again = run_with(again, &bundle, cfg, &unit_policy).into_plain();
+        let again = again.expect("fault-free run");
         assert_eq!(again.log, report.log);
         assert_eq!(again.counts, report.counts);
         assert_eq!(again.replication, report.replication);

@@ -719,50 +719,20 @@ impl<'a, P: Policy> Simulator<'a, P> {
         }
     }
 
-    /// Install a fault-injection hook ([`crate::faults::FaultHook`]). Must
-    /// be called before the first [`Simulator::step`] so the schedule's
-    /// transition events can be seeded with the trace arrivals.
-    ///
-    /// # Panics
-    /// Debug-panics when called after the run has started.
-    #[deprecated(
-        since = "0.1.0",
-        note = "assemble runs through `SimRun::trace(..).with_faults(..)` instead"
-    )]
-    #[must_use]
-    pub fn with_faults(mut self, hook: Box<dyn FaultHook>) -> Self {
-        self.set_faults(hook);
-        self
-    }
-
-    /// Install an observability sink (`unit-obs`): typed events for every
-    /// admission decision, outcome, control tick, modulation boundary, and
-    /// fault transition, stamped in virtual time. Must be installed before
-    /// the first [`Simulator::step`] so the policy's observation buffers are
-    /// armed from the start. Observation is passive — the run's
-    /// `report_digest` stays bit-identical.
-    ///
-    /// # Panics
-    /// Debug-panics when called after the run has started.
-    #[deprecated(
-        since = "0.1.0",
-        note = "assemble runs through `SimRun::trace(..).with_observer(..)` instead"
-    )]
-    #[must_use]
-    pub fn with_observer(mut self, observer: &'a mut dyn Observer) -> Self {
-        self.set_observer(observer);
-        self
-    }
-
-    /// Install a fault hook in place (the `SimRun` builder's back door;
-    /// same pre-start contract as the deprecated `with_faults`).
+    /// Install a fault-injection hook ([`crate::faults::FaultHook`]) — the
+    /// [`crate::SimRun`] builder's back door. Must be called before the
+    /// first [`Simulator::step`] so the schedule's transition events can
+    /// be seeded with the trace arrivals.
     pub(crate) fn set_faults(&mut self, hook: Box<dyn FaultHook>) {
         debug_assert!(!self.started, "install the fault hook before stepping");
         self.faults = Some(hook);
     }
 
-    /// Install an observer in place (the `SimRun` builder's back door;
-    /// same pre-start contract as the deprecated `with_observer`).
+    /// Install an observability sink (`unit-obs`) — the [`crate::SimRun`]
+    /// builder's back door. Must be installed before the first
+    /// [`Simulator::step`] so the policy's observation buffers are armed
+    /// from the start. Observation is passive — the run's `report_digest`
+    /// stays bit-identical.
     pub(crate) fn set_observer(&mut self, observer: &'a mut dyn Observer) {
         debug_assert!(!self.started, "install the observer before stepping");
         self.obs = Some(observer);

@@ -2,7 +2,7 @@
 //!
 //! The engine itself stays fault-agnostic: all failure behaviour is
 //! delegated to an optional [`FaultHook`] installed with
-//! [`crate::Simulator::with_faults`]. The hook expresses faults in
+//! [`crate::SimRun::with_faults`]. The hook expresses faults in
 //! **virtual time** — crash/recovery windows, per-item update drop and
 //! delay intervals, and background load bursts — so a faulty run is still a
 //! pure function of `(trace, policy, config, hook)` and bit-reproducible.

@@ -8,17 +8,10 @@
 //! that step it manually (the cluster dispatcher, epoch-parallel
 //! stepping, checkpoint/restore harnesses).
 //!
-//! Before this builder existed a run was assembled by chaining
-//! [`Simulator::new`] / [`Simulator::new_streaming`] with
-//! `Simulator::with_faults` / `Simulator::with_observer` — four
-//! combinators whose product made every new option a new constructor.
-//! The combinators are now `#[deprecated]` thin wrappers; the low-level
-//! constructors remain (they are the engine-handle API, exactly like
-//! `ClusterConfig::new` under `ClusterRun`), and all optional state is
-//! installed here.
-//!
-//! Builder-vs-wrapper bit-identity is pinned by
-//! `crates/sim/tests/builder_identity.rs`.
+//! The low-level constructors [`Simulator::new`] and
+//! [`Simulator::new_streaming`] remain (they are the engine-handle API,
+//! exactly like `ClusterConfig::new` under `ClusterRun`); all optional
+//! state — fault hook and observer — is installed here.
 //!
 //! ```
 //! use unit_sim::prelude::*;

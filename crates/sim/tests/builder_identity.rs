@@ -1,20 +1,16 @@
-//! The [`unit_sim::SimRun`] builder is a pure re-plumbing of the older
-//! `Simulator::new(..).with_faults(..).with_observer(..)` combinator
-//! chain: every assembly path — plain, fault-hooked, observed, and
-//! streaming — must produce reports bit-identical to what the deprecated
-//! wrappers build. This is the witness that lets the wrappers be deleted
-//! after their deprecation cycle without any digest moving.
-
-#![allow(deprecated)] // the whole point: builder vs deprecated wrappers
+//! Manual stepping of a [`unit_sim::SimRun`]-built engine —
+//! `build()`, then `step()` until drained, then `finish()` — must produce
+//! a report bit-identical to `SimRun::run`. Embedders that drive the
+//! engine themselves (the cluster's shard loop steps each engine to epoch
+//! boundaries with `step_until`) rely on this.
 
 use unit_core::config::UnitConfig;
 use unit_core::time::SimDuration;
 use unit_core::time::SimTime;
 use unit_core::unit_policy::UnitPolicy;
 use unit_core::usm::UsmWeights;
-use unit_obs::RingRecorder;
 use unit_sim::faults::{BackgroundLoad, FaultHook, HealthState, UpdateFault};
-use unit_sim::{report_digest, SimConfig, SimRun, Simulator};
+use unit_sim::{report_digest, SimConfig, SimRun};
 use unit_workload::{
     QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
 };
@@ -80,78 +76,6 @@ fn hook(horizon: SimDuration) -> Box<SlowWindow> {
         from: SimTime(horizon.0 / 4),
         until: SimTime(horizon.0 / 2),
     })
-}
-
-#[test]
-fn plain_builder_matches_wrapper_chain() {
-    let bundle = bundle();
-    let cfg = sim_cfg(bundle.horizon);
-    let built = SimRun::trace(&bundle.trace, make_policy(), cfg).run();
-    let wrapped = Simulator::new(&bundle.trace, make_policy(), cfg).run();
-    assert_eq!(report_digest(&built), report_digest(&wrapped));
-}
-
-#[test]
-fn faulty_builder_matches_wrapper_chain() {
-    let bundle = bundle();
-    let cfg = sim_cfg(bundle.horizon);
-    let built = SimRun::trace(&bundle.trace, make_policy(), cfg)
-        .with_faults(hook(bundle.horizon))
-        .run();
-    let wrapped = Simulator::new(&bundle.trace, make_policy(), cfg)
-        .with_faults(hook(bundle.horizon))
-        .run();
-    assert_eq!(report_digest(&built), report_digest(&wrapped));
-}
-
-#[test]
-fn observed_builder_matches_wrapper_chain_and_streams() {
-    let bundle = bundle();
-    let cfg = sim_cfg(bundle.horizon);
-
-    let mut rec_built = RingRecorder::unbounded();
-    let built = SimRun::trace(&bundle.trace, make_policy(), cfg)
-        .with_faults(hook(bundle.horizon))
-        .with_observer(&mut rec_built)
-        .run();
-    let mut rec_wrapped = RingRecorder::unbounded();
-    let wrapped = Simulator::new(&bundle.trace, make_policy(), cfg)
-        .with_faults(hook(bundle.horizon))
-        .with_observer(&mut rec_wrapped)
-        .run();
-
-    assert_eq!(report_digest(&built), report_digest(&wrapped));
-    assert_eq!(rec_built.into_events(), rec_wrapped.into_events());
-}
-
-#[test]
-fn streaming_builder_matches_wrapper_chain() {
-    let bundle = bundle();
-    let cfg = sim_cfg(bundle.horizon);
-    for chunk in [1usize, 64] {
-        let built = SimRun::streaming(
-            bundle.trace.n_items,
-            &bundle.trace.updates,
-            make_policy(),
-            cfg,
-        )
-        .run_streamed(bundle.trace.queries.iter().cloned(), chunk);
-        let wrapped = Simulator::new_streaming(
-            bundle.trace.n_items,
-            &bundle.trace.updates,
-            make_policy(),
-            cfg,
-        )
-        .run_streamed(bundle.trace.queries.iter().cloned(), chunk);
-        assert_eq!(
-            report_digest(&built),
-            report_digest(&wrapped),
-            "chunk {chunk}"
-        );
-        // And the streamed pipeline still equals the materialized one.
-        let materialized = SimRun::trace(&bundle.trace, make_policy(), cfg).run();
-        assert_eq!(report_digest(&built), report_digest(&materialized));
-    }
 }
 
 #[test]

@@ -234,23 +234,20 @@ impl std::error::Error for PartitionError {}
 /// within every shard (a filtered subsequence of a sorted list stays
 /// sorted), so each slice is a valid trace. Every query and every update
 /// stream lands in exactly one slice — the conservation property the
-/// cluster tests check end-to-end. O(N_q + N_u).
+/// cluster tests check end-to-end. The unfiltered factor-1 case of
+/// [`slice_trace_replicated`]. O(N_q + N_u).
 pub fn slice_trace(
     trace: &Trace,
     assignment: &[usize],
     partition: &ItemPartition,
 ) -> Result<Vec<Trace>, PartitionError> {
-    check_assignment(trace, assignment, partition.n_shards())?;
-    let mut shards = empty_slices(trace, partition.n_shards());
-    for (q, &s) in trace.queries.iter().zip(assignment) {
-        // lint: allow(D6) — check_assignment bounds every entry by n_shards
-        shards[s].queries.push(q.clone());
-    }
-    for u in &trace.updates {
-        // lint: allow(D6) — owner() is a modulo by n_shards
-        shards[partition.owner(u.item)].updates.push(u.clone());
-    }
-    Ok(shards)
+    slice_trace_replicated(
+        trace,
+        assignment,
+        &ReplicaMap::solo(partition.n_shards()),
+        false,
+    )
+    .map(|(shards, _)| shards)
 }
 
 /// Update-stream routing statistics reported by [`slice_trace_filtered`],

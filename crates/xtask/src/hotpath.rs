@@ -1,9 +1,8 @@
 //! **P2 — hot-path allocation.** Flags `Vec::new`, `.clone()`,
 //! `.to_vec()`, and `format!` inside the per-event hooks and the
-//! `EpochParallel` worker loop — the two places PR 1's event-loop
-//! optimisation and PR 7's epoch-parallel stepping bought their wins,
-//! and the two places a stray per-event allocation silently gives them
-//! back.
+//! cluster's shard loop — the two places the event-loop optimisation and
+//! epoch stepping bought their wins, and the two places a stray
+//! per-event allocation silently gives them back.
 //!
 //! The hot set is:
 //!
@@ -12,8 +11,8 @@
 //!   bodies) — these run once per simulated event;
 //! * every `on_*` / `reschedule` fn in `crates/sim/src/engine.rs` (the
 //!   engine's own event-loop hooks, same set P1 documents);
-//! * `execute_shards_epoch` in `crates/cluster/src/run.rs` — closures
-//!   lex inside their enclosing fn, so the epoch worker bodies land
+//! * `execute_shards` in `crates/cluster/src/run.rs` — closures lex
+//!   inside their enclosing fn, so the shard workers' epoch loops land
 //!   here.
 //!
 //! Scope is the hook bodies themselves (closures included), not their
@@ -36,9 +35,8 @@ fn is_hot(file: &ParsedFile, d: &FnDef) -> bool {
         || (d.in_trait_decl && d.owner.as_deref().is_some_and(|o| HOT_TRAITS.contains(&o)));
     let engine_hook = file.ctx.rel_path == "crates/sim/src/engine.rs"
         && (d.name.starts_with("on_") || d.name == "reschedule");
-    let epoch_worker =
-        file.ctx.rel_path == "crates/cluster/src/run.rs" && d.name == "execute_shards_epoch";
-    in_hot_trait || engine_hook || epoch_worker
+    let shard_loop = file.ctx.rel_path == "crates/cluster/src/run.rs" && d.name == "execute_shards";
+    in_hot_trait || engine_hook || shard_loop
 }
 
 /// Run the P2 pass. Findings are appended unsorted; the caller sorts.
@@ -129,14 +127,11 @@ mod tests {
         );
         let cluster = pf(
             "crates/cluster/src/run.rs",
-            "fn execute_shards_epoch() { scope.spawn(move || { hooks.clone(); }); }",
+            "fn execute_shards() { scope.spawn(move || { hooks.clone(); }); }",
         );
         let fs = run(&[engine, cluster]);
         let syms: Vec<_> = fs.iter().map(|f| f.symbol.as_str()).collect();
-        assert_eq!(
-            syms,
-            vec!["sim::Sim::on_completion", "sim::execute_shards_epoch"]
-        );
+        assert_eq!(syms, vec!["sim::Sim::on_completion", "sim::execute_shards"]);
     }
 
     #[test]
